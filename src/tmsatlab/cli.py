@@ -29,7 +29,7 @@ from .reduction import (
     reduce_machine,
     run_part,
 )
-from .sat import DimacsError, from_dimacs, solve_dpll, to_dimacs
+from .sat import DimacsError, SatError, from_dimacs, solve_dpll, to_dimacs
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -198,11 +198,19 @@ def _cmd_kim(args) -> int:
         return EXIT_OK
 
     # metrics
+    if args.chosen is not None and not 0 <= args.chosen < len(report.instances):
+        print(f"error: --chosen {args.chosen} is not an instance index "
+              f"(the library has {len(report.instances)} entries)", file=sys.stderr)
+        return EXIT_USAGE
     chosen = args.chosen if args.chosen is not None else report.designated
     if chosen is None:
         print("no satisfiable instance to take metrics from", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    metrics = parity.transition_metrics(report, chosen)
+    try:
+        metrics = parity.transition_metrics(report, chosen)
+    except parity.UndecodedInstanceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     claims = parity.check_counting_claims(metrics)
     payload = {
         "chosen": chosen,
@@ -315,7 +323,7 @@ def main(argv=None) -> int:
     except (MachineError, ReductionError, argument.ArgumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
+    except (AssertionError, SatError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

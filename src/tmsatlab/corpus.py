@@ -14,7 +14,6 @@ from . import argument, parity
 from .fixtures import fixture_machines, random_corpus
 from .machine import (
     accepts_within,
-    enumerate_accepting_histories,
     extract_particular_table,
     is_deterministic,
     merge_tables,

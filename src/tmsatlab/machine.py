@@ -275,7 +275,12 @@ def step(m: Machine, c: Configuration) -> List[Configuration]:
 def enumerate_accepting_histories(
         m: Machine, input_str: str, bound: int, limit: int) -> List[ComputationHistory]:
     """All accepting histories of at most `bound` transitions, breadth-first,
-    ties broken by rule declaration order, truncated at `limit`."""
+    ties broken by rule declaration order, truncated at `limit`.
+
+    The search runs over *paths* with no visited set, so its cost grows
+    exponentially in `bound` on a branching machine. It is kept as the
+    path-by-path reference that the tests compare `accepts_within` with.
+    """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     if limit < 1:
@@ -307,11 +312,39 @@ def accepts_within(m: Machine, input_str: str, bound: int):
     """Bounded acceptance oracle.
 
     Returns (accepted, witness); the witness is the shortest accepting
-    history in breadth-first order, or None.
+    history in breadth-first order, or None. It is the history that
+    `enumerate_accepting_histories(..., limit=1)` returns: shortest first,
+    ties broken by rule declaration order.
+
+    The search runs over configurations, keeping the first parent that
+    reached each one. Both rules keep the path search's witness: every
+    configuration on the first shortest accepting path is first reached
+    along that path's own prefix, and a configuration already reached at
+    an earlier level cannot lie on a shortest accepting path.
     """
-    found = enumerate_accepting_histories(m, input_str, bound, limit=1)
-    if found:
-        return True, found[0]
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    init = initial_configuration(m, input_str)
+    if init.state == m.accept:
+        return True, ComputationHistory((init,), input_str)
+    parent: Dict[Configuration, Optional[Configuration]] = {init: None}
+    frontier = [init]
+    for _ in range(bound):
+        nxt: List[Configuration] = []
+        for c in frontier:
+            for nc in step(m, c):
+                if nc in parent:
+                    continue
+                parent[nc] = c
+                if nc.state == m.accept:
+                    configs = [nc]
+                    while parent[configs[-1]] is not None:
+                        configs.append(parent[configs[-1]])
+                    return True, ComputationHistory(tuple(reversed(configs)), input_str)
+                nxt.append(nc)
+        frontier = nxt
+        if not frontier:
+            break
     return False, None
 
 

@@ -72,7 +72,7 @@ def check_model(f: CnfFormula, assignment: Dict[int, bool]) -> bool:
 def _verified(f: CnfFormula, assignment: Dict[int, bool]) -> SolveResult:
     # Internal check before any Sat verdict leaves the module.
     if not check_model(f, assignment):
-        raise SatError("internal error: model fails verification")
+        raise SatError("model fails verification")
     return SolveResult.sat(assignment)
 
 
@@ -265,6 +265,8 @@ def from_dimacs(text: str) -> CnfFormula:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
+            if min(header) < 0:
+                raise DimacsError(f"line {lineno}: negative count in header {line!r}")
             continue
         if header is None:
             raise DimacsError(f"line {lineno}: clause before header")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tmsatlab import sat
 from tmsatlab.cli import main
 from tmsatlab.fixtures import fixture_text
 
@@ -66,6 +67,22 @@ class TestSolve:
         bad.write_text("p cnf 2 2\n1 0\n")
         assert main(["solve", str(bad)]) == 3
 
+    @pytest.mark.parametrize("header", ["p cnf -1 0", "p cnf 0 -1"])
+    def test_negative_header_count(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.cnf"
+        bad.write_text(header + "\n")
+        assert main(["solve", str(bad)]) == 3
+        assert "negative count" in capsys.readouterr().err
+
+    def test_unverified_model_is_internal_error(self, machine_file, tmp_path,
+                                                capsys, monkeypatch):
+        cnf = tmp_path / "f.cnf"
+        main(["reduce", "-m", machine_file, "-i", "1", "-T", "1",
+              "-o", str(cnf)])
+        monkeypatch.setattr(sat, "check_model", lambda f, assignment: False)
+        assert main(["solve", str(cnf)]) == 70
+        assert "model fails verification" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_agreement_on_reject(self, machine_file, capsys):
@@ -129,6 +146,22 @@ class TestKim:
         payload = json.loads(capsys.readouterr().out)
         m = payload["metrics"]
         assert m["i"] > m["j"] > m["k"]
+
+    @pytest.mark.parametrize("chosen", ["2", "7", "-1"])
+    def test_metrics_chosen_out_of_range(self, library_dir, machine_file,
+                                         capsys, chosen):
+        assert main(["kim", "metrics", "--library", library_dir,
+                     "--base", machine_file, "-T", "4", "-i", "1",
+                     "--chosen", chosen]) == 2
+        assert "not an instance index" in capsys.readouterr().err
+
+    def test_metrics_chosen_unsat_instance(self, library_dir, machine_file,
+                                           capsys):
+        # Entry 1 is grid-incompatible with the base, so it counts as unsat.
+        assert main(["kim", "metrics", "--library", library_dir,
+                     "--base", machine_file, "-T", "4", "-i", "1",
+                     "--chosen", "1"]) == 1
+        assert "unsatisfiable" in capsys.readouterr().err
 
 
 class TestArgue:

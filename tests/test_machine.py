@@ -1,6 +1,7 @@
 import pytest
 
-from tmsatlab.fixtures import fixture_text
+from tmsatlab.corpus import CORPUS_INPUTS, RANDOM_MACHINE_SEED
+from tmsatlab.fixtures import fixture_machines, fixture_text, random_corpus
 from tmsatlab.machine import (
     Configuration,
     ComputationHistory,
@@ -18,6 +19,27 @@ from tmsatlab.machine import (
     step,
     table_generates,
 )
+from tmsatlab.reduction import reduce_machine
+from tmsatlab.sat import solve_dpll, to_cnf
+
+# Two states that rewrite cell 0 in place; every configuration has two
+# distinct successors and none accepts, so 2^T paths but 4 configurations.
+CELL0_FLIP = """\
+states: q0 q1 qacc
+start: q0
+accept: qacc
+blank: _
+input_alphabet: 0 1
+tape_alphabet: 0 1 _
+rule: q0 0 -> q0 1 S
+rule: q0 0 -> q1 0 S
+rule: q0 1 -> q0 0 S
+rule: q0 1 -> q1 1 S
+rule: q1 0 -> q1 1 S
+rule: q1 0 -> q0 0 S
+rule: q1 1 -> q1 0 S
+rule: q1 1 -> q0 1 S
+"""
 
 
 class TestParse:
@@ -116,6 +138,29 @@ class TestBoundedSearch:
     def test_input_outside_alphabet(self, m_accept1):
         with pytest.raises(MachineSemanticError):
             accepts_within(m_accept1, "2", 1)
+
+    def test_negative_bound(self, m_accept1):
+        with pytest.raises(ValueError):
+            accepts_within(m_accept1, "1", -1)
+
+
+@pytest.mark.parametrize(
+    "m", fixture_machines() + random_corpus(RANDOM_MACHINE_SEED, 52),
+    ids=lambda m: m.name)
+def test_oracle_matches_path_enumeration(m):
+    """The configuration search returns the path search's verdict and
+    witness: shortest first, ties broken by rule declaration order."""
+    for y in CORPUS_INPUTS:
+        for bound in range(6):
+            found = enumerate_accepting_histories(m, y, bound, 1)
+            expected = (True, found[0]) if found else (False, None)
+            assert accepts_within(m, y, bound) == expected, (y, bound)
+
+
+def test_oracle_on_branching_flip_machine():
+    m = parse_machine(CELL0_FLIP, name="cell0_flip")
+    accepted, _ = accepts_within(m, "0", 20)
+    assert accepted == solve_dpll(to_cnf(reduce_machine(m, "0", 20))).satisfiable
 
 
 class TestParticularTables:
