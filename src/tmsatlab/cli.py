@@ -46,8 +46,8 @@ class _FileError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _FileError(f"cannot read {path}: {exc}") from exc
 
 
@@ -146,7 +146,7 @@ def _load_library(dir_path: str, bound: int, base):
     for tm_path in sorted(directory.glob("*.tm")):
         m = _load_machine(str(tm_path))
         in_path = tm_path.with_suffix(".in")
-        y = in_path.read_text().strip() if in_path.exists() else ""
+        y = _read_text(str(in_path)).strip() if in_path.exists() else ""
         accepted, witness = accepts_within(m, y, bound)
         if not accepted:
             raise _FileError(
@@ -174,6 +174,7 @@ def _cmd_kim(args) -> int:
             ],
             "bound": pm.bound,
             "base": base.name,
+            "distinct_run_parts": len({id(entry) for entry in pm.library}),
         }
         if args.json:
             print(json.dumps(info, indent=2))
@@ -182,6 +183,8 @@ def _cmd_kim(args) -> int:
                 compat = "compatible" if entry["compatible"] else "grid-incompatible"
                 print(f"entry {entry['index']} ({entry['name']}): "
                       f"{entry['clauses']} run-part clauses, {compat}")
+            print(f"{info['distinct_run_parts']} distinct run parts "
+                  f"for {len(pm.library)} entries")
         return EXIT_OK
 
     report = parity.run_parity_machine(pm, args.input)

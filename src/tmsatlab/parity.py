@@ -20,14 +20,15 @@ from .machine import (
 )
 from .reduction import (
     LabeledFormula,
+    check_history,
     clause_counts,
     concatenate,
-    encode_history,
     decode_assignment,
+    encode_history,
     input_part,
+    machine_grid_signature,
     reduce_machine,
     run_part,
-    _grid_signature,
 )
 from .sat import solve_dpll, to_cnf
 
@@ -88,18 +89,33 @@ class ClaimReport:
     equality_incompatible_with_chain: bool
 
 
+def _run_part_key(m: Machine, bound: int) -> tuple:
+    """What a run part depends on: the bound and every field of m except
+    its name. The input alphabet and the rule order count, because decode
+    checks the input and the Tr variables are numbered by rule."""
+    return (bound, m.states, m.input_alphabet, m.tape_alphabet, m.blank,
+            m.start, m.accept, m.reject, tuple(m.rules()))
+
+
 def build_parity_machine(histories, bound: int, base: Machine) -> ParityMachine:
     """Encode each (machine, accepting history) pair and keep only the
-    run part. Entries whose variable grid cannot unify with the base
-    machine's are flagged as incompatible."""
-    base_sig = _grid_signature(reduce_machine(base, "", bound))
+    run part. Entries with the same `_run_part_key` share one run-part
+    object, reduced once; every entry's history still gets every check of
+    `encode_history`. Entries whose variable grid cannot unify with the
+    base machine's are flagged as incompatible."""
+    base_sig = machine_grid_signature(base, bound)
+    parts: Dict[tuple, LabeledFormula] = {}
     library: List[LabeledFormula] = []
     incompatible: List[int] = []
     for idx, (m, h) in enumerate(histories):
-        formula, _ = encode_history(m, h, bound)
-        entry = run_part(formula)
-        library.append(entry)
-        if _grid_signature(entry) != base_sig:
+        key = _run_part_key(m, bound)
+        if key in parts:
+            check_history(m, h, bound)
+        else:
+            formula, _ = encode_history(m, h, bound)
+            parts[key] = run_part(formula)
+        library.append(parts[key])
+        if machine_grid_signature(m, bound) != base_sig:
             incompatible.append(idx)
     return ParityMachine(library, base, bound, tuple(incompatible))
 
@@ -109,25 +125,35 @@ def run_parity_machine(pm: ParityMachine, y: str) -> RunReport:
     with every stored run part in library order, solve each, count the
     satisfiable ones, and accept iff the count is odd.
 
-    Grid-incompatible entries count as unsatisfiable.
+    Grid-incompatible entries count as unsatisfiable. Entries that share
+    a run-part object are counted, charged and reported one by one, but
+    the shared part is solved and decoded once per call.
     """
     cy = input_part(reduce_machine(pm.base, y, pm.bound))
+    groups_of: Dict[int, Dict[str, int]] = {}  # by id of the run-part object
+    outcome_of: Dict[int, Tuple[bool, Optional[ComputationHistory]]] = {}
     instances: List[InstanceResult] = []
     counter = 0
     for idx, cr in enumerate(pm.library):
-        groups = clause_counts(cr)
-        groups["G4"] += cy.clause_count
+        part = id(cr)
+        if part not in groups_of:
+            groups_of[part] = clause_counts(cr)
+            groups_of[part]["G4"] += cy.clause_count
+        groups = dict(groups_of[part])
         total = cy.clause_count + cr.clause_count
         if idx in pm.incompatible_indices:
             instances.append(InstanceResult(idx, total, groups, False, None))
             continue
-        cj = concatenate(cy, cr)
-        result = solve_dpll(to_cnf(cj))
-        history = None
-        if result.satisfiable:
-            counter += 1
-            history = decode_assignment(cj, result.assignment)
-        instances.append(InstanceResult(idx, total, groups, result.satisfiable, history))
+        if part not in outcome_of:
+            cj = concatenate(cy, cr)
+            result = solve_dpll(to_cnf(cj))
+            history = None
+            if result.satisfiable:
+                history = decode_assignment(cj, result.assignment)
+            outcome_of[part] = (result.satisfiable, history)
+        satisfiable, history = outcome_of[part]
+        counter += satisfiable
+        instances.append(InstanceResult(idx, total, groups, satisfiable, history))
     cost = sum(inst.clause_count for inst in instances) + cy.clause_count
     designated = next((inst.index for inst in instances if inst.satisfiable), None)
     return RunReport(

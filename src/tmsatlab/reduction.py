@@ -154,11 +154,13 @@ def _moved_head(j: int, move: str, bound: int) -> int:
     return j
 
 
-def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
-    """The reduction: satisfiable iff m accepts input_str within `bound`
-    transitions."""
+def _check_bound(bound: int):
     if bound < 1:
         raise ValueError("bound must be at least 1")
+
+
+def _check_input(m: Machine, input_str: str, bound: int):
+    _check_bound(bound)
     if len(input_str) > bound + 1:
         raise ReductionError(
             f"input of {len(input_str)} symbols does not fit cells 0..{bound}")
@@ -166,6 +168,11 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
         if ch not in m.input_alphabet:
             raise ReductionError(f"input symbol {ch!r} not in input alphabet")
 
+
+def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
+    """The reduction: satisfiable iff m accepts input_str within `bound`
+    transitions."""
+    _check_input(m, input_str, bound)
     g = _Grid(m, bound)
     T = bound
     clauses: List[Clause] = []
@@ -251,6 +258,13 @@ def _grid_signature(f: LabeledFormula):
     return f.bound, tuple(states), tuple(symbols)
 
 
+def machine_grid_signature(m: Machine, bound: int):
+    """The grid signature of every reduction of m at `bound`, read off the
+    machine instead of a built formula."""
+    _check_bound(bound)
+    return bound, tuple(sorted(m.states)), tuple(sorted(m.tape_alphabet))
+
+
 def concatenate(cy: LabeledFormula, cr: LabeledFormula) -> LabeledFormula:
     """Conjoin an input part with a run part over a unified variable grid.
 
@@ -288,12 +302,14 @@ def _config_symbol(c: Configuration, j: int, blank: str) -> str:
     return c.tape[j] if j < len(c.tape) else blank
 
 
-def induced_assignment(m: Machine, h: ComputationHistory, g: _Grid) -> Dict[int, bool]:
+def induced_assignment(m: Machine, h: ComputationHistory, g: _Grid,
+                       rule_ids: List[int]) -> Dict[int, bool]:
     """The satisfying assignment a history induces on the grid, padding
-    short histories by repeating the final accepting configuration."""
+    short histories by repeating the final accepting configuration.
+    `rule_ids` are the history's rule indices, as `check_history` returns
+    them."""
     T = g.bound
     k = h.transitions
-    rule_ids = used_rule_indices(h, m)
     assignment: Dict[int, bool] = {}
     for i in range(T + 1):
         c = h.configs[min(i, k)]
@@ -311,12 +327,12 @@ def induced_assignment(m: Machine, h: ComputationHistory, g: _Grid) -> Dict[int,
     return assignment
 
 
-def encode_history(m: Machine, h: ComputationHistory, bound: int):
-    """Reduce m on h.input, plus the satisfying assignment induced by h.
-
-    Returns (formula, assignment). The history must be legal for m,
-    accepting, and of at most `bound` transitions.
-    """
+def check_history(m: Machine, h: ComputationHistory, bound: int) -> List[int]:
+    """Every check `encode_history` makes before encoding: h has at most
+    `bound` transitions, ends in the accept state, starts from m's initial
+    configuration on h.input, its input fits cells 0..bound, and every
+    step is licensed by a rule of m. Returns the index into m.rules() of
+    the rule used at each step."""
     if h.transitions > bound:
         raise ReductionError(
             f"history of {h.transitions} transitions exceeds bound {bound}")
@@ -324,9 +340,18 @@ def encode_history(m: Machine, h: ComputationHistory, bound: int):
         raise ReductionError("history does not end in the accept state")
     if h.configs[0] != initial_configuration(m, h.input):
         raise ReductionError("history does not start from the initial configuration")
+    _check_input(m, h.input, bound)
+    return used_rule_indices(h, m)
+
+
+def encode_history(m: Machine, h: ComputationHistory, bound: int):
+    """Reduce m on h.input, plus the satisfying assignment induced by h.
+
+    Returns (formula, assignment). The history must pass `check_history`.
+    """
+    rule_ids = check_history(m, h, bound)
     f = reduce_machine(m, h.input, bound)
-    g = _Grid(m, bound)
-    return f, induced_assignment(m, h, g)  # legality checked inside
+    return f, induced_assignment(m, h, _Grid(m, bound), rule_ids)
 
 
 def _read_unique(a: Dict[int, bool], ids: Dict, keys, what: str):

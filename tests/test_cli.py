@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +163,65 @@ class TestKim:
                      "--base", machine_file, "-T", "4", "-i", "1",
                      "--chosen", "1"]) == 1
         assert "unsatisfiable" in capsys.readouterr().err
+
+
+    def test_build_reports_distinct_run_parts(self, library_dir, machine_file,
+                                              capsys):
+        # e2 is e0's machine under another name: the two share a run part.
+        lib = Path(library_dir)
+        (lib / "e2.tm").write_text(fixture_text("m_accept1"))
+        (lib / "e2.in").write_text("11\n")
+        args = ["kim", "build", "--library", library_dir, "--base", machine_file,
+                "-T", "4"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            "entry 0 (e0): 532 run-part clauses, compatible",
+            "entry 1 (e1): 668 run-part clauses, grid-incompatible",
+            "entry 2 (e2): 532 run-part clauses, compatible",
+        ]
+        assert lines[3:] == ["2 distinct run parts for 3 entries"]
+        assert main(args + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["entries", "bound", "base", "distinct_run_parts"]
+        assert payload["distinct_run_parts"] == 2
+
+
+class TestFileErrors:
+    """Unreadable or non-UTF-8 files exit 3 with a message, not a traceback."""
+
+    NOT_UTF8 = b"states: q0 \xff\n"
+
+    def test_input_file_is_a_directory(self, library_dir, machine_file, capsys):
+        (Path(library_dir) / "e0.in").unlink()
+        (Path(library_dir) / "e0.in").mkdir()
+        assert main(["kim", "build", "--library", library_dir,
+                     "--base", machine_file, "-T", "4"]) == 3
+        assert "e0.in" in capsys.readouterr().err
+
+    def test_input_file_not_utf8(self, library_dir, machine_file, capsys):
+        (Path(library_dir) / "e0.in").write_bytes(b"\xff\n")
+        assert main(["kim", "build", "--library", library_dir,
+                     "--base", machine_file, "-T", "4"]) == 3
+        assert "e0.in" in capsys.readouterr().err
+
+    def test_machine_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tm"
+        bad.write_bytes(self.NOT_UTF8)
+        assert main(["reduce", "-m", str(bad), "-i", "1", "-T", "1"]) == 3
+        assert "bad.tm" in capsys.readouterr().err
+
+    def test_dimacs_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cnf"
+        bad.write_bytes(b"p cnf 1 1\n\xff 0\n")
+        assert main(["solve", str(bad)]) == 3
+        assert "bad.cnf" in capsys.readouterr().err
+
+    def test_schema_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.arg"
+        bad.write_bytes(b"premise: p\nconclusion: \xff\n")
+        assert main(["argue", "--schema", str(bad)]) == 3
+        assert "bad.arg" in capsys.readouterr().err
 
 
 class TestArgue:

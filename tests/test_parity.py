@@ -1,16 +1,28 @@
 import pytest
 
-from tmsatlab.machine import accepts_within
+from tmsatlab import parity
+from tmsatlab.corpus import CORPUS_BOUND, CORPUS_INPUTS
+from tmsatlab.fixtures import fixture_machines, fixture_text
+from tmsatlab.machine import (
+    ComputationHistory,
+    Configuration,
+    accepts_within,
+    initial_configuration,
+    parse_machine,
+)
 from tmsatlab.parity import (
     Metrics,
+    ParityMachine,
     UndecodedInstanceError,
     build_parity_machine,
     check_counting_claims,
     find_shared_table_witness,
+    report_to_dict,
     report_to_json,
     run_parity_machine,
     transition_metrics,
 )
+from tmsatlab.reduction import _grid_signature, encode_history, reduce_machine, run_part
 
 
 def witness(m, y, bound=4):
@@ -87,6 +99,93 @@ class TestRun:
         a = report_to_json(run_parity_machine(single_entry, "1"))
         b = report_to_json(run_parity_machine(single_entry, "1"))
         assert a == b
+
+
+class TestSharedRunParts:
+    """Entries whose machines differ at most in name share one run part,
+    solved once per input, with per-instance results unchanged."""
+
+    @staticmethod
+    def corpus_library():
+        machines = fixture_machines()
+        aliases = [parse_machine(fixture_text("m_nd"), name) for name in ("nd_a", "nd_b")]
+        histories = []
+        for m in machines + aliases:
+            for y in CORPUS_INPUTS:
+                accepted, h = accepts_within(m, y, CORPUS_BOUND)
+                if accepted:
+                    histories.append((m, h))
+        return histories, machines[0]
+
+    def test_shared_library_matches_per_entry_library(self):
+        histories, base = self.corpus_library()
+        shared = build_parity_machine(histories, CORPUS_BOUND, base)
+        per_entry = [run_part(encode_history(m, h, CORPUS_BOUND)[0]) for m, h in histories]
+        base_sig = _grid_signature(reduce_machine(base, "", CORPUS_BOUND))
+        incompatible = tuple(idx for idx, entry in enumerate(per_entry)
+                             if _grid_signature(entry) != base_sig)
+        direct = ParityMachine(per_entry, base, CORPUS_BOUND, incompatible)
+        assert shared.incompatible_indices == incompatible
+        assert len({id(entry) for entry in shared.library}) < len(shared.library)
+        names = [m.name for m, _ in histories]
+        alias_entries = {id(shared.library[i]) for i, n in enumerate(names)
+                         if n in ("m_nd", "nd_a", "nd_b")}
+        assert len(alias_entries) == 1
+        for y in ("0", "1"):
+            a = run_parity_machine(shared, y)
+            b = run_parity_machine(direct, y)
+            assert report_to_dict(a) == report_to_dict(b)
+            assert [inst.history for inst in a.instances] == \
+                [inst.history for inst in b.instances]
+            assert [inst.groups for inst in a.instances] == \
+                [inst.groups for inst in b.instances]
+            assert len({id(inst.groups) for inst in a.instances}) == len(a.instances)
+
+    def test_one_solve_per_distinct_run_part(self, m_accept1, m_nd, monkeypatch):
+        calls = []
+        solve = parity.solve_dpll
+
+        def counting_solve(f):
+            calls.append(f)
+            return solve(f)
+
+        monkeypatch.setattr(parity, "solve_dpll", counting_solve)
+        entries = [(m_accept1, witness(m_accept1, y)) for y in ("1", "11", "110", "1")]
+        entries.append((m_nd, witness(m_nd, "1")))
+        pm = build_parity_machine(entries, 4, m_accept1)
+        for y in ("0", "1"):
+            calls.clear()
+            report = run_parity_machine(pm, y)
+            assert len(calls) == 2
+            assert len(report.instances) == 5
+
+    @staticmethod
+    def bad_history(kind, m_accept1, m_parity):
+        """(machine, good history, bad history, bound) with the bad history
+        failing exactly one check of encode_history."""
+        if kind == "exceeds bound":
+            return m_parity, witness(m_parity, "", 2), witness(m_parity, "11", 8), 2
+        if kind == "input too long":
+            return m_accept1, witness(m_accept1, "1", 1), witness(m_accept1, "1100", 1), 1
+        init = initial_configuration(m_accept1, "0")
+        end = "qacc" if kind == "illegal" else "qrej"
+        bad = ComputationHistory((init, Configuration(end, 1, ("0", "_"))), "0")
+        return m_accept1, witness(m_accept1, "1"), bad, 4
+
+    @pytest.mark.parametrize("kind", ["illegal", "not accepting", "exceeds bound",
+                                      "input too long"])
+    def test_repeated_entry_still_checked(self, kind, m_accept1, m_parity):
+        m, good, bad, bound = self.bad_history(kind, m_accept1, m_parity)
+        alias = parse_machine(fixture_text(m.name), "alias")
+        with pytest.raises(Exception) as expected:
+            encode_history(alias, bad, bound)
+        with pytest.raises(expected.type) as got:
+            build_parity_machine([(m, good), (alias, bad)], bound, m)
+        assert str(got.value) == str(expected.value)
+
+    def test_bound_below_one_rejected(self, m_accept1):
+        with pytest.raises(ValueError, match="bound must be at least 1"):
+            build_parity_machine([], 0, m_accept1)
 
 
 class TestMetrics:
