@@ -60,7 +60,10 @@ def _load_machine(path: str):
 
 def _emit(text: str, out_path):
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise _FileError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -210,22 +213,17 @@ def _cmd_kim(args) -> int:
         print("no satisfiable instance to take metrics from", file=sys.stderr)
         return EXIT_CHECK_FAILED
     try:
-        metrics = parity.transition_metrics(report, chosen)
+        metrics, claims = parity.metrics_view(report, chosen)
     except parity.UndecodedInstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    claims = parity.check_counting_claims(metrics)
-    payload = {
-        "chosen": chosen,
-        "metrics": {"i": metrics.i, "j": metrics.j, "k": metrics.k},
-        "claims": {"i_gt_j": claims.i_gt_j, "j_gt_k": claims.j_gt_k,
-                   "i_eq_k": claims.i_eq_k},
-    }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"chosen": chosen, "metrics": metrics, "claims": claims},
+                         indent=2))
     else:
-        print(f"chosen={chosen} i={metrics.i} j={metrics.j} k={metrics.k}")
-        print(f"i>j: {claims.i_gt_j}  j>k: {claims.j_gt_k}  i=k: {claims.i_eq_k}")
+        print(f"chosen={chosen} i={metrics['i']} j={metrics['j']} k={metrics['k']}")
+        print(f"i>j: {claims['i_gt_j']}  j>k: {claims['j_gt_k']}  "
+              f"i=k: {claims['i_eq_k']}")
     return EXIT_OK
 
 

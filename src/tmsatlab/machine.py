@@ -348,14 +348,29 @@ def accepts_within(m: Machine, input_str: str, bound: int):
     return False, None
 
 
-def _licensing_targets(m: Machine, c1: Configuration, c2: Configuration):
-    """Targets of m whose application to c1 yields c2, in declaration order."""
+def _licensing(t: TransitionTable, c1: Configuration, c2: Configuration, blank: str):
+    """The first (key, target) of t, in declaration order, whose
+    application to c1 yields c2, or None."""
     key = (c1.state, c1.tape[c1.head])
-    out = []
-    for target in m.table.entries.get(key, ()):
-        if apply_target(c1, target, m.blank) == c2:
-            out.append((key, target))
-    return out
+    for target in t.entries.get(key, ()):
+        if apply_target(c1, target, blank) == c2:
+            return key, target
+    return None
+
+
+def _licensed_steps(h: ComputationHistory, m: Machine) -> List[Tuple[RuleKey, Target]]:
+    """The first licensing (key, target) of m for each step of h.
+
+    Raises IllegalHistoryError naming the first step no rule of m licenses.
+    """
+    steps = []
+    for idx in range(h.transitions):
+        licensed = _licensing(m.table, h.configs[idx], h.configs[idx + 1], m.blank)
+        if licensed is None:
+            raise IllegalHistoryError(
+                idx, f"no rule of {m.name} licenses the pair at this step")
+        steps.append(licensed)
+    return steps
 
 
 def extract_particular_table(h: ComputationHistory, m: Machine) -> TransitionTable:
@@ -365,13 +380,7 @@ def extract_particular_table(h: ComputationHistory, m: Machine) -> TransitionTab
     pair is not licensed by any rule of m.
     """
     entries: Dict[RuleKey, List[Target]] = {}
-    for idx in range(h.transitions):
-        c1, c2 = h.configs[idx], h.configs[idx + 1]
-        licensed = _licensing_targets(m, c1, c2)
-        if not licensed:
-            raise IllegalHistoryError(
-                idx, f"no rule of {m.name} licenses the pair at this step")
-        key, target = licensed[0]
+    for key, target in _licensed_steps(h, m):
         bucket = entries.setdefault(key, [])
         if target not in bucket:
             bucket.append(target)
@@ -382,50 +391,22 @@ def used_rule_indices(h: ComputationHistory, m: Machine) -> List[int]:
     """Index into m.rules() of the rule used at each step of h (first
     licensing rule in declaration order)."""
     rule_list = m.rules()
-    out = []
-    for idx in range(h.transitions):
-        c1, c2 = h.configs[idx], h.configs[idx + 1]
-        licensed = _licensing_targets(m, c1, c2)
-        if not licensed:
-            raise IllegalHistoryError(
-                idx, f"no rule of {m.name} licenses the pair at this step")
-        (state, symbol), (nxt, write, move) = licensed[0]
-        out.append(rule_list.index((state, symbol, nxt, write, move)))
-    return out
-
-
-def _pair_licensed_by(t: TransitionTable, c1: Configuration, c2: Configuration) -> bool:
-    for nxt, write, move in t.entries.get((c1.state, c1.tape[c1.head]), ()):
-        if c2.state != nxt:
-            continue
-        tape = list(c1.tape)
-        tape[c1.head] = write
-        head = c1.head
-        if move == LEFT:
-            head = max(0, head - 1)
-        elif move == RIGHT:
-            head += 1
-        if head == len(tape):
-            # Right move off the end: the simulator extends with a blank,
-            # which the bare table cannot name; accept whatever c2 grew by.
-            if len(c2.tape) != len(tape) + 1:
-                continue
-            tape.append(c2.tape[-1])
-        if c2.head == head and c2.tape == tuple(tape):
-            return True
-    return False
+    return [rule_list.index(key + target) for key, target in _licensed_steps(h, m)]
 
 
 def table_generates(t: TransitionTable, h: ComputationHistory) -> bool:
     """True iff every consecutive pair of h is licensed by some triple of t.
 
-    A merged table licenses h iff one of its branch sub-tables does.
+    A merged table licenses h iff one of its branch sub-tables does. A
+    right move off the end extends the tape with a blank, which a bare
+    table cannot name, so the blank is taken to be whatever the tape grew
+    by.
     """
     if t.branches is not None:
         return any(table_generates(branch, h) for branch in t.branches)
     return all(
-        _pair_licensed_by(t, h.configs[i], h.configs[i + 1])
-        for i in range(h.transitions))
+        _licensing(t, c1, c2, c2.tape[-1]) is not None
+        for c1, c2 in zip(h.configs, h.configs[1:]))
 
 
 def _rename_table(t: TransitionTable, suffix: str) -> Dict[RuleKey, Tuple[Target, ...]]:

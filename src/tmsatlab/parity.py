@@ -222,8 +222,7 @@ def find_shared_table_witness(candidates: List[ParityMachine],
                        for inst in report.instances if inst.satisfiable]
             examined.append((ci, y, len(decoded)))
             for ai, (idx_a, hist_a, entry_a) in enumerate(decoded):
-                machine_a = entry_a.provenance.machine
-                table = extract_particular_table(hist_a, machine_a)
+                table = extract_particular_table(hist_a, entry_a.machine)
                 for idx_b, hist_b, _ in decoded:
                     if idx_b == idx_a:
                         continue
@@ -231,6 +230,15 @@ def find_shared_table_witness(candidates: List[ParityMachine],
                         return SharedTableSearchReport(
                             SharedTableWitness(ci, y, idx_a, idx_b), examined)
     return SharedTableSearchReport(None, examined)
+
+
+def metrics_view(report: RunReport, chosen: int) -> Tuple[dict, dict]:
+    """The stable-key JSON view of instance `chosen`'s (i, j, k) and of
+    the counting claims on them."""
+    m = transition_metrics(report, chosen)
+    c = check_counting_claims(m)
+    return ({"i": m.i, "j": m.j, "k": m.k},
+            {"i_gt_j": c.i_gt_j, "j_gt_k": c.j_gt_k, "i_eq_k": c.i_eq_k})
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -248,10 +256,7 @@ def report_to_dict(report: RunReport) -> dict:
         })
     metrics = claims = None
     if report.designated is not None:
-        m = transition_metrics(report, report.designated)
-        c = check_counting_claims(m)
-        metrics = {"i": m.i, "j": m.j, "k": m.k}
-        claims = {"i_gt_j": c.i_gt_j, "j_gt_k": c.j_gt_k, "i_eq_k": c.i_eq_k}
+        metrics, claims = metrics_view(report, report.designated)
     return {
         "input": report.input,
         "bound": report.bound,

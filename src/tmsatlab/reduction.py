@@ -76,40 +76,18 @@ class Clause:
             raise ValueError("clause contains a variable and its negation")
 
 
-@dataclass
-class Provenance:
-    machine: Optional[Machine]
-    machine_name: str
-    input: Optional[str]
-
-
-@dataclass
-class LabeledFormula:
-    var_meanings: Dict[int, VarMeaning]
-    clauses: List[Clause]
-    bound: int
-    provenance: Optional[Provenance] = None
-
-    @property
-    def clause_count(self) -> int:
-        return len(self.clauses)
-
-    @property
-    def var_count(self) -> int:
-        return max(self.var_meanings) if self.var_meanings else 0
-
-
 class _Grid:
     """Deterministic variable numbering: Q, then H, then S, then Tr,
-    each block in lexicographic grid order."""
+    each block in lexicographic grid order. Built once per reduction and
+    shared by every formula made from it."""
 
     def __init__(self, m: Machine, bound: int):
         self.machine = m
         self.bound = bound
+        self.signature = machine_grid_signature(m, bound)
         self.states = sorted(m.states)
         self.symbols = sorted(m.tape_alphabet)
         self.rules = m.rules()
-        self.meanings: Dict[int, VarMeaning] = {}
         self.q: Dict[Tuple[int, str], int] = {}
         self.h: Dict[Tuple[int, int], int] = {}
         self.s: Dict[Tuple[int, int, str], int] = {}
@@ -119,23 +97,59 @@ class _Grid:
             for k in self.states:
                 vid += 1
                 self.q[(i, k)] = vid
-                self.meanings[vid] = VarMeaning("Q", i, state=k)
         for i in range(bound + 1):
             for j in range(bound + 1):
                 vid += 1
                 self.h[(i, j)] = vid
-                self.meanings[vid] = VarMeaning("H", i, cell=j)
         for i in range(bound + 1):
             for j in range(bound + 1):
                 for sym in self.symbols:
                     vid += 1
                     self.s[(i, j, sym)] = vid
-                    self.meanings[vid] = VarMeaning("S", i, cell=j, symbol=sym)
         for i in range(bound):
             for r in list(range(len(self.rules))) + [PAD]:
                 vid += 1
                 self.tr[(i, r)] = vid
-                self.meanings[vid] = VarMeaning("Tr", i, rule=r)
+        self.var_count = vid
+
+    def meanings(self) -> Dict[int, VarMeaning]:
+        """What each variable asserts, in id order; built on each call."""
+        out = {vid: VarMeaning("Q", i, state=k) for (i, k), vid in self.q.items()}
+        out.update((vid, VarMeaning("H", i, cell=j)) for (i, j), vid in self.h.items())
+        out.update((vid, VarMeaning("S", i, cell=j, symbol=sym))
+                   for (i, j, sym), vid in self.s.items())
+        out.update((vid, VarMeaning("Tr", i, rule=r)) for (i, r), vid in self.tr.items())
+        return out
+
+
+@dataclass
+class LabeledFormula:
+    """Clauses over the variable grid of one reduction of `grid.machine`
+    on `input`."""
+
+    grid: _Grid
+    clauses: List[Clause]
+    input: str
+
+    @property
+    def clause_count(self) -> int:
+        return len(self.clauses)
+
+    @property
+    def bound(self) -> int:
+        return self.grid.bound
+
+    @property
+    def var_count(self) -> int:
+        return self.grid.var_count
+
+    @property
+    def machine(self) -> Machine:
+        return self.grid.machine
+
+    @property
+    def var_meanings(self) -> Dict[int, VarMeaning]:
+        return self.grid.meanings()
 
 
 def _exactly_one(ids: List[int], group: str) -> List[Clause]:
@@ -224,38 +238,19 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
                 clauses.append(Clause(
                     (-g.s[(i, j, l)], g.h[(i, j)], g.s[(i + 1, j, l)]), "G6"))
 
-    return LabeledFormula(
-        var_meanings=g.meanings,
-        clauses=clauses,
-        bound=bound,
-        provenance=Provenance(machine=m, machine_name=m.name, input=input_str),
-    )
+    return LabeledFormula(g, clauses, input_str)
 
 
 def input_part(f: LabeledFormula) -> LabeledFormula:
-    """Exactly the G4 clauses; variable meanings preserved."""
-    return LabeledFormula(
-        var_meanings=dict(f.var_meanings),
-        clauses=[c for c in f.clauses if c.group == INPUT_GROUP],
-        bound=f.bound,
-        provenance=f.provenance,
-    )
+    """Exactly the G4 clauses, over f's grid."""
+    return LabeledFormula(f.grid, [c for c in f.clauses if c.group == INPUT_GROUP],
+                          f.input)
 
 
 def run_part(f: LabeledFormula) -> LabeledFormula:
-    """All non-G4 clauses."""
-    return LabeledFormula(
-        var_meanings=dict(f.var_meanings),
-        clauses=[c for c in f.clauses if c.group != INPUT_GROUP],
-        bound=f.bound,
-        provenance=f.provenance,
-    )
-
-
-def _grid_signature(f: LabeledFormula):
-    states = sorted({mn.state for mn in f.var_meanings.values() if mn.kind == "Q"})
-    symbols = sorted({mn.symbol for mn in f.var_meanings.values() if mn.kind == "S"})
-    return f.bound, tuple(states), tuple(symbols)
+    """All non-G4 clauses, over f's grid."""
+    return LabeledFormula(f.grid, [c for c in f.clauses if c.group != INPUT_GROUP],
+                          f.input)
 
 
 def machine_grid_signature(m: Machine, bound: int):
@@ -275,34 +270,19 @@ def concatenate(cy: LabeledFormula, cr: LabeledFormula) -> LabeledFormula:
         raise ValueError("first argument must contain only G4 clauses")
     if any(c.group == INPUT_GROUP for c in cr.clauses):
         raise ValueError("second argument must contain no G4 clauses")
-    if _grid_signature(cy) != _grid_signature(cr):
+    if cy.grid.signature != cr.grid.signature:
         raise GridIncompatibleError(
             "formulas use entirely incompatible variable grids")
-    # Q/H/S blocks coincide under the fixed numbering; the run part owns
-    # the Tr block, whose ids the input part's clauses never reference.
-    meanings = dict(cy.var_meanings)
-    meanings.update(cr.var_meanings)
-    for clause in cy.clauses:
-        for lit in clause.literals:
-            if meanings[abs(lit)] != cy.var_meanings[abs(lit)]:
-                raise GridIncompatibleError(
-                    f"variable {abs(lit)} means different things in the two formulas")
-    machine = cr.provenance.machine if cr.provenance else None
-    name = cr.provenance.machine_name if cr.provenance else "?"
-    inp = cy.provenance.input if cy.provenance else None
-    return LabeledFormula(
-        var_meanings=meanings,
-        clauses=list(cy.clauses) + list(cr.clauses),
-        bound=cr.bound,
-        provenance=Provenance(machine=machine, machine_name=name, input=inp),
-    )
+    # The signature fixes the Q/H/S blocks, the only variables G4 refers
+    # to; the run part's grid also numbers its own Tr block.
+    return LabeledFormula(cr.grid, cy.clauses + cr.clauses, cy.input)
 
 
 def _config_symbol(c: Configuration, j: int, blank: str) -> str:
     return c.tape[j] if j < len(c.tape) else blank
 
 
-def induced_assignment(m: Machine, h: ComputationHistory, g: _Grid,
+def induced_assignment(h: ComputationHistory, g: _Grid,
                        rule_ids: List[int]) -> Dict[int, bool]:
     """The satisfying assignment a history induces on the grid, padding
     short histories by repeating the final accepting configuration.
@@ -317,7 +297,7 @@ def induced_assignment(m: Machine, h: ComputationHistory, g: _Grid,
             assignment[g.q[(i, state)]] = state == c.state
         for j in range(T + 1):
             assignment[g.h[(i, j)]] = j == c.head
-            sym = _config_symbol(c, j, m.blank)
+            sym = _config_symbol(c, j, g.machine.blank)
             for l in g.symbols:
                 assignment[g.s[(i, j, l)]] = l == sym
     for i in range(T):
@@ -351,7 +331,7 @@ def encode_history(m: Machine, h: ComputationHistory, bound: int):
     """
     rule_ids = check_history(m, h, bound)
     f = reduce_machine(m, h.input, bound)
-    return f, induced_assignment(m, h, _Grid(m, bound), rule_ids)
+    return f, induced_assignment(h, f.grid, rule_ids)
 
 
 def _read_unique(a: Dict[int, bool], ids: Dict, keys, what: str):
@@ -369,11 +349,6 @@ def decode_assignment(f: LabeledFormula, a: Dict[int, bool]) -> ComputationHisto
     each configuration against the Q/H/S grid, and strips the trailing
     accept-state padding.
     """
-    if f.provenance is None or f.provenance.machine is None:
-        raise ReductionError("formula carries no machine provenance to decode with")
-    m = f.provenance.machine
-    if f.provenance.input is None:
-        raise ReductionError("formula carries no input provenance to decode with")
     for clause in f.clauses:
         if not any(a.get(abs(lit)) == (lit > 0) for lit in clause.literals):
             if clause.group in ("G1", "G2", "G3"):
@@ -381,8 +356,9 @@ def decode_assignment(f: LabeledFormula, a: Dict[int, bool]) -> ComputationHisto
                     f"assignment violates a {clause.group} uniqueness clause")
             raise ValueError("assignment does not satisfy the formula")
 
-    g = _Grid(m, f.bound)
-    T = f.bound
+    g = f.grid
+    m = g.machine
+    T = g.bound
 
     def check_against_grid(i: int, c: Configuration):
         state = _read_unique(a, g.q, [(i, k) for k in g.states], "state")
@@ -396,7 +372,7 @@ def decode_assignment(f: LabeledFormula, a: Dict[int, bool]) -> ComputationHisto
                 raise MalformedModelError(
                     f"cell {j} at time {i} disagrees with the assignment grid")
 
-    config = initial_configuration(m, f.provenance.input)
+    config = initial_configuration(m, f.input)
     configs = [config]
     check_against_grid(0, config)
     rules = g.rules
@@ -422,7 +398,7 @@ def decode_assignment(f: LabeledFormula, a: Dict[int, bool]) -> ComputationHisto
         check_against_grid(i + 1, config)
     if configs[-1].state != m.accept:
         raise MalformedModelError("decoded history does not end in the accept state")
-    return ComputationHistory(tuple(configs), f.provenance.input)
+    return ComputationHistory(tuple(configs), f.input)
 
 
 def clause_counts(f: LabeledFormula) -> Dict[str, int]:

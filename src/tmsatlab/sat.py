@@ -228,8 +228,9 @@ def to_dimacs(f) -> str:
     """
     lines: List[str] = []
     if isinstance(f, LabeledFormula):
-        for vid in sorted(f.var_meanings):
-            lines.append(f"c var {vid} = {f.var_meanings[vid]}")
+        meanings = f.var_meanings
+        for vid in sorted(meanings):
+            lines.append(f"c var {vid} = {meanings[vid]}")
         lines.append(f"p cnf {f.var_count} {f.clause_count}")
         for idx, clause in enumerate(f.clauses, start=1):
             lines.append(f"c clause {idx} group {clause.group}")

@@ -39,6 +39,16 @@ class TestReduce:
                      "-o", str(out_path)]) == 0
         assert out_path.read_text().count(" 0\n") > 0
 
+    @pytest.mark.parametrize("command", [["reduce"], ["history", "encode"]],
+                             ids=["reduce", "history-encode"])
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_unwritable_output(self, machine_file, tmp_path, capsys, command,
+                               target):
+        out_path = tmp_path if target == "directory" else tmp_path / "no" / "f.cnf"
+        assert main(command + ["-m", machine_file, "-i", "1", "-T", "1",
+                               "-o", str(out_path)]) == 3
+        assert "cannot write" in capsys.readouterr().err
+
     def test_missing_machine_file(self, tmp_path):
         assert main(["reduce", "-m", str(tmp_path / "nope.tm"),
                      "-i", "1", "-T", "1"]) == 3

@@ -209,6 +209,22 @@ class TestParticularTables:
         _, witness = accepts_within(m_parity, "11", 4)
         assert not table_generates(m_accept1.table, witness)
 
+    def test_bare_table_licenses_right_move_onto_any_new_cell(self):
+        # A bare table names no blank, so the cell a right move off the
+        # end adds may hold any symbol, here a non-blank one.
+        t = TransitionTable({("q0", "1"): (("q1", "0", "R"),)})
+        h = ComputationHistory((Configuration("q0", 0, ("1",)),
+                                Configuration("q1", 1, ("0", "1"))), "1")
+        assert table_generates(t, h)
+
+    def test_bare_table_rejects_growth_without_right_move_off_end(self):
+        t = TransitionTable({("q0", "1"): (("q1", "0", "S"),
+                                           ("q1", "0", "R"))})
+        c1 = Configuration("q0", 0, ("1", "0"))
+        for c2 in (Configuration("q1", 0, ("0", "0", "_")),
+                   Configuration("q1", 1, ("0", "0", "_"))):
+            assert not table_generates(t, ComputationHistory((c1, c2), "10"))
+
 
 class TestDeterminism:
     def test_empty_table_deterministic(self):

@@ -22,7 +22,7 @@ from tmsatlab.parity import (
     run_parity_machine,
     transition_metrics,
 )
-from tmsatlab.reduction import _grid_signature, encode_history, reduce_machine, run_part
+from tmsatlab.reduction import encode_history, reduce_machine, run_part
 
 
 def witness(m, y, bound=4):
@@ -121,9 +121,9 @@ class TestSharedRunParts:
         histories, base = self.corpus_library()
         shared = build_parity_machine(histories, CORPUS_BOUND, base)
         per_entry = [run_part(encode_history(m, h, CORPUS_BOUND)[0]) for m, h in histories]
-        base_sig = _grid_signature(reduce_machine(base, "", CORPUS_BOUND))
+        base_sig = reduce_machine(base, "", CORPUS_BOUND).grid.signature
         incompatible = tuple(idx for idx, entry in enumerate(per_entry)
-                             if _grid_signature(entry) != base_sig)
+                             if entry.grid.signature != base_sig)
         direct = ParityMachine(per_entry, base, CORPUS_BOUND, incompatible)
         assert shared.incompatible_indices == incompatible
         assert len({id(entry) for entry in shared.library}) < len(shared.library)

@@ -21,7 +21,7 @@ from tmsatlab.reduction import (
     reduce_machine,
     run_part,
 )
-from tmsatlab.sat import check_model, solve_dpll, to_cnf
+from tmsatlab.sat import CnfFormula, check_model, solve_dpll, to_cnf
 
 
 def kind_count(f, kind):
@@ -112,6 +112,27 @@ class TestConcatenate:
         cr = run_part(reduce_machine(m_accept1, "1", 3))
         with pytest.raises(GridIncompatibleError):
             concatenate(cy, cr)
+
+    @pytest.mark.parametrize("y", ["1", "0"])
+    def test_base_with_an_extra_rule(self, m_accept1, m_nd, y):
+        # m_nd is m_accept1's grid with one more rule: its input part's
+        # grid has Tr ids that no clause of the concatenation uses.
+        bound = 3
+        cy = input_part(reduce_machine(m_nd, y, bound))
+        cr = run_part(reduce_machine(m_accept1, y, bound))
+        cj = concatenate(cy, cr)
+        assert cj.var_count == cr.var_count < cy.var_count
+        result = solve_dpll(to_cnf(cj))
+        padded = solve_dpll(CnfFormula(cy.var_count, to_cnf(cj).clauses))
+        assert result.satisfiable == padded.satisfiable
+        own = reduce_machine(m_accept1, y, bound)
+        own_result = solve_dpll(to_cnf(own))
+        assert result.satisfiable == own_result.satisfiable == (y == "1")
+        if result.satisfiable:
+            assert all(padded.assignment[v] == value
+                       for v, value in result.assignment.items())
+            assert decode_assignment(cj, result.assignment) == \
+                decode_assignment(own, own_result.assignment)
 
     def test_argument_roles_enforced(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 1)
