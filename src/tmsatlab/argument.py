@@ -13,6 +13,9 @@ from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 ATOM_GUARD = 20
+# Formulas are printed and evaluated recursively, so their operator
+# nesting must stay well inside Python's recursion limit.
+NESTING_GUARD = 200
 
 
 class ArgumentError(Exception):
@@ -122,8 +125,14 @@ def _tokenize(text: str) -> List[str]:
     return out
 
 
+# Binary operators: (precedence, node); a higher precedence binds tighter.
+_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+
+
 class _Parser:
-    """Precedence (loosest first): <->, ->, |, &, !. '->' associates right."""
+    """Precedence (loosest first): <->, ->, |, &, !. '->' associates right,
+    the others left. Precedence climbing, so a parenthesis costs two
+    frames of recursion, not one per precedence level."""
 
     def __init__(self, tokens: List[str]):
         self.tokens = tokens
@@ -140,37 +149,17 @@ class _Parser:
         return tok
 
     def parse(self) -> PropFormula:
-        f = self.iff()
+        f = self.binary(1)
         if self.peek() is not None:
             raise FormulaSyntaxError(f"trailing input at {self.peek()!r}")
         return f
 
-    def iff(self) -> PropFormula:
-        left = self.implies()
-        while self.peek() == "<->":
-            self.take()
-            left = Iff(left, self.implies())
-        return left
-
-    def implies(self) -> PropFormula:
-        left = self.disj()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def disj(self) -> PropFormula:
-        left = self.conj()
-        while self.peek() == "|":
-            self.take()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> PropFormula:
+    def binary(self, min_prec: int) -> PropFormula:
+        """Operands joined by operators of precedence at least min_prec."""
         left = self.unary()
-        while self.peek() == "&":
-            self.take()
-            left = And(left, self.unary())
+        while self.peek() in _BINARY and _BINARY[self.peek()][0] >= min_prec:
+            prec, node = _BINARY[self.take()]
+            left = node(left, self.binary(prec if node is Implies else prec + 1))
         return left
 
     def unary(self) -> PropFormula:
@@ -178,7 +167,7 @@ class _Parser:
         if tok == "!":
             return Not(self.unary())
         if tok == "(":
-            inner = self.iff()
+            inner = self.binary(1)
             if self.take() != ")":
                 raise FormulaSyntaxError("expected ')'")
             return inner
@@ -187,11 +176,34 @@ class _Parser:
         raise FormulaSyntaxError(f"unexpected token {tok!r}")
 
 
+def _depth(f: PropFormula) -> int:
+    """Operator nesting depth, found without recursion."""
+    deepest, stack = 0, [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(g, Not):
+            stack.append((g.operand, d + 1))
+        elif not isinstance(g, Atom):
+            stack.extend(((g.left, d + 1), (g.right, d + 1)))
+    return deepest
+
+
 def parse_formula(text: str) -> PropFormula:
+    """Parse one formula. Raises FormulaSyntaxError on bad syntax, and on
+    operators nested more than NESTING_GUARD deep or parentheses and
+    negations nested too deeply for the recursive parser."""
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty formula")
-    return _Parser(tokens).parse()
+    try:
+        f = _Parser(tokens).parse()
+    except RecursionError:
+        f = None
+    if f is None or _depth(f) > NESTING_GUARD:
+        raise FormulaSyntaxError(
+            f"formula nested too deeply (guard: {NESTING_GUARD} levels)")
+    return f
 
 
 def atoms(f: PropFormula) -> FrozenSet[str]:

@@ -1,4 +1,9 @@
-"""The fixture property suite behind the `corpus-test` CLI command.
+"""The property suite behind the `corpus-test` CLI command and the
+acceptance tests, which run it at two sizes.
+
+`corpus_records` takes each corpus case once through the oracle, one
+reduction, one solve, certification and the input/run partition. The
+checks count over those records or take their witnesses.
 
 Every check is deterministic: fixed fixtures, fixed seeds, fixed
 iteration order, so repeated runs produce byte-identical output.
@@ -8,11 +13,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Callable, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import argument, parity
-from .fixtures import fixture_machines, random_corpus
+from .fixtures import fixture_machines, load_fixture, random_corpus
 from .machine import (
+    ComputationHistory,
+    Machine,
     accepts_within,
     extract_particular_table,
     is_deterministic,
@@ -20,10 +27,13 @@ from .machine import (
     table_generates,
 )
 from .reduction import (
-    clause_counts,
+    GROUPS,
+    INPUT_GROUP,
+    LabeledFormula,
+    check_history,
     concatenate,
     decode_assignment,
-    encode_history,
+    induced_assignment,
     input_part,
     reduce_machine,
     run_part,
@@ -35,22 +45,68 @@ CORPUS_BOUND = 4
 RANDOM_MACHINE_SEED = 20240917
 RANDOM_CNF_SEED = 424242
 
+History = Tuple[Machine, ComputationHistory]
 
-def corpus_cases(random_machines: int = 10):
-    machines = fixture_machines() + random_corpus(RANDOM_MACHINE_SEED, random_machines)
-    for m in machines:
+
+class CaseRecord(NamedTuple):
+    """One corpus case: a machine on one input within one bound."""
+
+    machine: Machine
+    fixture: bool
+    accepted: bool  # the oracle's verdict
+    witness: Optional[ComputationHistory]  # the oracle's witness
+    sat: bool  # the solver's verdict on the reduction
+    certified: bool  # False when unsatisfiable
+    partitioned: bool  # clauses well formed, input + run part == reduction
+
+
+def corpus_records(random_machines: int, fixture_bound: int) -> List[CaseRecord]:
+    """The fixture machines at `fixture_bound` and `random_machines` seeded
+    random machines at CORPUS_BOUND, each on every input of CORPUS_INPUTS.
+    Each case is reduced once and solved once."""
+    machines = [(m, True, fixture_bound) for m in fixture_machines()]
+    machines += [(m, False, CORPUS_BOUND)
+                 for m in random_corpus(RANDOM_MACHINE_SEED, random_machines)]
+    records = []
+    for m, fixture, bound in machines:
         for y in CORPUS_INPUTS:
-            yield m, y, CORPUS_BOUND
+            accepted, witness = accepts_within(m, y, bound)
+            f = reduce_machine(m, y, bound)
+            cnf = to_cnf(f)
+            result = solve_dpll(cnf)
+            records.append(CaseRecord(
+                m, fixture, accepted, witness, result.satisfiable,
+                result.satisfiable and _certified(f, cnf, result.assignment),
+                _partitioned(f)))
+    return records
 
 
-def corpus_histories(random_machines: int = 10):
-    """One shortest witness per accepted corpus case."""
-    out = []
-    for m, y, bound in corpus_cases(random_machines):
-        accepted, witness = accepts_within(m, y, bound)
-        if accepted:
-            out.append((m, witness))
-    return out
+def _certified(f: LabeledFormula, cnf: CnfFormula, model: Dict[int, bool]) -> bool:
+    """The model decodes to a history that passes `check_history` (accepting,
+    within the bound, every step licensed) and induces a model of the same
+    formula, the one `encode_history` would build again."""
+    history = decode_assignment(f, model)
+    rule_ids = check_history(f.machine, history, f.bound)
+    return check_model(cnf, induced_assignment(history, f.grid, rule_ids))
+
+
+def _partitioned(f: LabeledFormula) -> bool:
+    """No clause holds a variable and its negation (`to_cnf` already
+    refuses an empty one); the input part is G4 units; the run part holds
+    only the other known groups, so no G4 clause and no unknown group;
+    the parts' clauses add up to the reduction's."""
+    cy, cr = input_part(f), run_part(f)
+    return (all(len(set(map(abs, c.literals))) == len(set(c.literals))
+                for c in f.clauses)
+            and all(c.group == INPUT_GROUP and len(c.literals) == 1 for c in cy.clauses)
+            and {c.group for c in cr.clauses} <= set(GROUPS) - {INPUT_GROUP}
+            and cy.clause_count + cr.clause_count == f.clause_count
+            and Counter(concatenate(cy, cr).clauses) == Counter(f.clauses))
+
+
+def accepted_histories(records: Sequence[CaseRecord]) -> List[History]:
+    """(machine, witness) of every accepted case, in record order."""
+    return [(r.machine, r.witness) for r in records if r.accepted]
 
 
 def random_cnf(rng: random.Random) -> CnfFormula:
@@ -72,125 +128,84 @@ def random_cnf(rng: random.Random) -> CnfFormula:
     return CnfFormula(n, clauses)
 
 
-def check_oracle_equivalence(random_machines: int = 10) -> Tuple[int, int]:
-    agree = total = 0
-    for m, y, bound in corpus_cases(random_machines):
-        accepted, _ = accepts_within(m, y, bound)
-        result = solve_dpll(to_cnf(reduce_machine(m, y, bound)))
-        total += 1
-        if result.satisfiable == accepted:
-            agree += 1
-    return agree, total
+def check_oracle_equivalence(records: Sequence[CaseRecord]) -> Tuple[int, int]:
+    return sum(r.sat == r.accepted for r in records), len(records)
 
 
-def check_certification(random_machines: int = 10) -> Tuple[int, int]:
-    good = total = 0
-    for m, y, bound in corpus_cases(random_machines):
-        f = reduce_machine(m, y, bound)
-        result = solve_dpll(to_cnf(f))
-        if not result.satisfiable:
-            continue
-        total += 1
-        history = decode_assignment(f, result.assignment)
-        refd, induced = encode_history(m, history, bound)
-        if (history.configs[-1].state == m.accept
-                and history.transitions <= bound
-                and check_model(to_cnf(refd), induced)):
-            good += 1
-    return good, total
+def check_certification(records: Sequence[CaseRecord]) -> Tuple[int, int]:
+    return sum(r.certified for r in records), sum(r.sat for r in records)
 
 
-def check_partition(random_machines: int = 10) -> Tuple[int, int]:
-    good = total = 0
-    for m, y, bound in corpus_cases(random_machines):
-        f = reduce_machine(m, y, bound)
-        cy, cr = input_part(f), run_part(f)
-        total += 1
-        ok = (all(c.group == "G4" and len(c.literals) == 1 for c in cy.clauses)
-              and all(c.group != "G4" for c in cr.clauses)
-              and {c.group for c in cr.clauses} <= {"G1", "G2", "G3", "G5", "G6"}
-              and Counter(concatenate(cy, cr).clauses) == Counter(f.clauses)
-              and cy.clause_count + cr.clause_count == f.clause_count)
-        if ok:
-            good += 1
-    return good, total
+def check_partition(records: Sequence[CaseRecord]) -> Tuple[int, int]:
+    return sum(r.partitioned for r in records), len(records)
 
 
-def check_particular_tables(random_machines: int = 10) -> Tuple[int, int]:
-    good = total = 0
-    for m, h in corpus_histories(random_machines):
-        total += 1
+def check_particular_tables(histories: Sequence[History]) -> Tuple[int, int]:
+    good = 0
+    for m, h in histories:
         t = extract_particular_table(h, m)
         subset = all(
             set(targets) <= set(m.table.entries.get(key, ()))
             for key, targets in t.entries.items())
         inherit = (not is_deterministic(m.table)) or is_deterministic(t)
-        if table_generates(t, h) and subset and inherit:
-            good += 1
-    return good, total
+        good += table_generates(t, h) and subset and inherit
+    return good, len(histories)
 
 
-def check_merge(random_machines: int = 10) -> Tuple[int, int]:
-    histories = corpus_histories(random_machines)
+def check_merge(histories: Sequence[History]) -> Tuple[int, int]:
+    """Every ordered pair of distinct histories."""
+    tables = [(extract_particular_table(h, m), h) for m, h in histories]
     good = total = 0
-    for ia, (ma, ha) in enumerate(histories):
-        for ib, (mb, hb) in enumerate(histories):
+    for ia, (ta, ha) in enumerate(tables):
+        states_a = ta.states() | {ha.configs[0].state}
+        for ib, (tb, hb) in enumerate(tables):
             if ia == ib:
                 continue
-            ta = extract_particular_table(ha, ma)
-            tb = extract_particular_table(hb, mb)
             merged = merge_tables(ta, tb, ha.configs[0].state, hb.configs[0].state)
             total += 1
-            states_a = ta.states() | {ha.configs[0].state}
-            renamed_b = {s for s in merged.states()
-                         if s not in states_a and s != merged.selector_state}
-            ok = (table_generates(merged, ha)
-                  and table_generates(merged, hb)
-                  and not is_deterministic(merged)
-                  and merged.selector is not None and len(merged.selector) == 2
-                  and merged.states() > states_a
-                  and len(renamed_b) == len(tb.states() | {hb.configs[0].state})
-                  and merged != ta and merged != tb)
-            if ok:
-                good += 1
+            renamed_b = merged.states() - states_a - {merged.selector_state}
+            good += (table_generates(merged, ha)
+                     and table_generates(merged, hb)
+                     and not is_deterministic(merged)
+                     and merged.selector is not None and len(merged.selector) == 2
+                     and merged.states() > states_a
+                     and len(renamed_b) == len(tb.states() | {hb.configs[0].state})
+                     and merged != ta and merged != tb)
     return good, total
 
 
-def check_parity_machine() -> Tuple[int, int]:
-    machines = fixture_machines()
-    base = machines[0]  # m_accept1
-    histories = []
-    for m in machines:
-        for y in CORPUS_INPUTS:
-            accepted, witness = accepts_within(m, y, CORPUS_BOUND)
-            if accepted:
-                histories.append((m, witness))
-    pm = parity.build_parity_machine(histories, CORPUS_BOUND, base)
-    good = total = 0
-    for y in ("0", "1"):
-        report = parity.run_parity_machine(pm, y)
-        total += 1
-        ok = report.accept == (report.counter % 2 == 1)
-        ok = ok and report.cost >= report.input_clause_count
-        for inst in report.instances:
-            if not inst.satisfiable:
-                continue
-            metrics = parity.transition_metrics(report, inst.index)
-            claims = parity.check_counting_claims(metrics)
-            ok = ok and claims.i_gt_j and claims.j_gt_k
-            ok = ok and claims.equality_incompatible_with_chain
-        if ok:
-            good += 1
-    return good, total
+def check_parity_machine(histories: Sequence[History], bases: Sequence[Machine],
+                         inputs: Sequence[str]) -> Tuple[int, int, int]:
+    """One parity-machine run per base and input over the histories of at
+    most CORPUS_BOUND transitions. Returns (good runs, runs, satisfiable
+    instances checked)."""
+    entries = [(m, h) for m, h in histories if h.transitions <= CORPUS_BOUND]
+    good = runs = satisfiable = 0
+    for base in bases:
+        pm = parity.build_parity_machine(entries, CORPUS_BOUND, base)
+        for y in inputs:
+            report = parity.run_parity_machine(pm, y)
+            runs += 1
+            ok = (report.accept == (report.counter % 2 == 1)
+                  and report.cost >= report.input_clause_count)
+            for inst in report.instances:
+                if not inst.satisfiable:
+                    continue
+                satisfiable += 1
+                claims = parity.check_counting_claims(
+                    parity.transition_metrics(report, inst.index))
+                ok = (ok and claims.i_gt_j and claims.j_gt_k
+                      and claims.equality_incompatible_with_chain)
+            good += ok
+    return good, runs, satisfiable
 
 
-def check_solver_agreement(instances: int = 100) -> Tuple[int, int]:
-    rng = random.Random(RANDOM_CNF_SEED)
+def check_solver_agreement(instances: int, seed: int) -> Tuple[int, int]:
+    rng = random.Random(seed)
     agree = 0
     for _ in range(instances):
         f = random_cnf(rng)
-        if solve_dpll(f).satisfiable == solve_bruteforce(f).satisfiable:
-            agree += 1
+        agree += solve_dpll(f).satisfiable == solve_bruteforce(f).satisfiable
     return agree, instances
 
 
@@ -205,24 +220,26 @@ def check_argument_analysis() -> Tuple[int, int]:
     return (1 if ok else 0), 1
 
 
-CHECKS: List[Tuple[str, Callable[[], Tuple[int, int]]]] = [
-    ("oracle-equivalence", check_oracle_equivalence),
-    ("certification-round-trip", check_certification),
-    ("input-run-partition", check_partition),
-    ("particular-table-round-trip", check_particular_tables),
-    ("merge-properties", check_merge),
-    ("parity-machine-claims", check_parity_machine),
-    ("solver-cross-validation", check_solver_agreement),
-    ("argument-analysis", check_argument_analysis),
-]
-
-
 def run_corpus_checks() -> Tuple[List[str], bool]:
-    lines = []
-    all_ok = True
-    for name, fn in CHECKS:
-        good, total = fn()
-        ok = good == total
-        all_ok = all_ok and ok
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {good}/{total}")
-    return lines, all_ok
+    """The suite at `corpus-test` size: fixtures at CORPUS_BOUND plus 10
+    random machines, the parity machine over the fixture histories with
+    base m_accept1 on inputs 0 and 1, and 100 random CNFs. A check passes
+    when it holds on every one of a non-empty set of cases."""
+    records = corpus_records(10, CORPUS_BOUND)
+    histories = accepted_histories(records)
+    fixture_histories = accepted_histories([r for r in records if r.fixture])
+    results = [
+        ("oracle-equivalence", check_oracle_equivalence(records)),
+        ("certification-round-trip", check_certification(records)),
+        ("input-run-partition", check_partition(records)),
+        ("particular-table-round-trip", check_particular_tables(histories)),
+        ("merge-properties", check_merge(histories)),
+        ("parity-machine-claims", check_parity_machine(
+            fixture_histories, [load_fixture("m_accept1")], ("0", "1"))[:2]),
+        ("solver-cross-validation", check_solver_agreement(100, RANDOM_CNF_SEED)),
+        ("argument-analysis", check_argument_analysis()),
+    ]
+    passed = [0 < total == good for _, (good, total) in results]
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {good}/{total}"
+             for ok, (name, (good, total)) in zip(passed, results)]
+    return lines, all(passed)

@@ -159,8 +159,11 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
 
     # Decision stack entries: (trail length before the decision, var, flipped).
     stack: List[Tuple[int, int, bool]] = []
+    # Every variable below `var` is assigned: the scan for the next
+    # decision resumes here, and backtracking to a decision on dvar keeps
+    # everything assigned before it, so the scan restarts at dvar.
+    var = 1
     while True:
-        var = 1
         while var <= n and assign[var] is not None:
             var += 1
         if var > n:
@@ -178,6 +181,7 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
             mark, dvar, _ = stack.pop()
             backtrack_to(mark)
             stack.append((mark, dvar, True))
+            var = dvar
             ok = propagate([-dvar])
 
 

@@ -1,199 +1,113 @@
 """Acceptance criteria, one test per criterion.
 
-Each test prints a PASS line once its assertions hold (run pytest -s to
-see them). The corpus is the four fixture machines plus 52 seeded random
-machines within the same bounds, on inputs of length at most 3.
+Criteria 1-8 run the property suite of `tmsatlab.corpus` at full size;
+`corpus-test` runs the same suite at a smaller one. Each test prints a
+PASS line once its assertions hold (run pytest -s to see them). The
+corpus is the four fixture machines at T=6 plus 52 seeded random
+machines at T=4, on inputs of length at most 3: 336 cases.
 """
 
 import json
-import random
 import time
-from collections import Counter
 
 import pytest
 
-from tmsatlab import parity
-from tmsatlab.argument import analyze_modus_tollens_schema
+from tmsatlab import corpus as suite
 from tmsatlab.cli import main
-from tmsatlab.corpus import random_cnf, run_corpus_checks
-from tmsatlab.fixtures import fixture_machines, random_corpus
-from tmsatlab.machine import (
-    accepts_within,
-    extract_particular_table,
-    is_deterministic,
-    merge_tables,
-    table_generates,
-)
-from tmsatlab.reduction import (
-    concatenate,
-    decode_assignment,
-    encode_history,
-    input_part,
-    reduce_machine,
-    run_part,
-)
-from tmsatlab.sat import check_model, solve_bruteforce, solve_dpll, to_cnf
-
-INPUTS = ("", "0", "1", "01", "11", "110")
-RANDOM_SEED = 20240917
-RANDOM_MACHINES = 52
-
-
-def corpus_cases():
-    for m in fixture_machines():
-        yield m, 6
-    for m in random_corpus(RANDOM_SEED, RANDOM_MACHINES):
-        yield m, 4
+from tmsatlab.fixtures import fixture_machines
+from tmsatlab.reduction import Clause, reduce_machine
 
 
 @pytest.fixture(scope="module")
-def corpus_results():
-    """One pass over the corpus: oracle verdict, solver verdict, and the
-    certification round trip for every Sat case."""
+def corpus():
+    """One pass over the corpus, and how long it took."""
     start = time.monotonic()
-    records = []
-    for m, bound in corpus_cases():
-        for y in INPUTS:
-            accepted, witness = accepts_within(m, y, bound)
-            f = reduce_machine(m, y, bound)
-            result = solve_dpll(to_cnf(f))
-            certified = None
-            if result.satisfiable:
-                history = decode_assignment(f, result.assignment)
-                ref, induced = encode_history(m, history, bound)
-                certified = (history.configs[-1].state == m.accept
-                             and history.transitions <= bound
-                             and check_model(to_cnf(ref), induced))
-            records.append({
-                "machine": m, "input": y, "bound": bound,
-                "accepted": accepted, "witness": witness,
-                "sat": result.satisfiable, "certified": certified,
-            })
-    elapsed = time.monotonic() - start
-    return records, elapsed
+    records = suite.corpus_records(52, 6)
+    return records, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
-def corpus_histories(corpus_results):
-    records, _ = corpus_results
-    return [(r["machine"], r["witness"]) for r in records if r["accepted"]]
+def histories(corpus):
+    return suite.accepted_histories(corpus[0])
 
 
-def test_criterion_1_oracle_equivalence(corpus_results):
-    records, elapsed = corpus_results
-    disagreements = [r for r in records if r["sat"] != r["accepted"]]
-    assert not disagreements
+def test_criterion_1_oracle_equivalence(corpus):
+    records, elapsed = corpus
+    assert suite.check_oracle_equivalence(records) == (336, 336)
     assert elapsed < 120.0
-    print(f"\nPASS criterion 1: oracle equivalence on {len(records)} cases "
-          f"({elapsed:.1f}s)")
+    print(f"\nPASS criterion 1: oracle equivalence on 336 cases ({elapsed:.1f}s)")
 
 
-def test_criterion_2_certification_round_trip(corpus_results):
-    records, _ = corpus_results
-    sat_records = [r for r in records if r["sat"]]
-    assert sat_records, "corpus produced no satisfiable cases"
-    assert all(r["certified"] for r in sat_records)
-    print(f"\nPASS criterion 2: certification round trip on "
-          f"{len(sat_records)} Sat cases")
+def test_criterion_2_certification_round_trip(corpus):
+    good, total = suite.check_certification(corpus[0])
+    assert good == total > 0, "corpus produced no satisfiable cases"
+    print(f"\nPASS criterion 2: certification round trip on {total} Sat cases")
 
 
-def test_criterion_3_partition_and_reassembly():
-    checked = 0
-    for m, bound in corpus_cases():
-        for y in INPUTS:
-            f = reduce_machine(m, y, bound)
-            cy, cr = input_part(f), run_part(f)
-            assert all(c.group == "G4" and len(c.literals) == 1
-                       for c in cy.clauses)
-            assert {c.group for c in cr.clauses} <= {"G1", "G2", "G3", "G5", "G6"}
-            assert Counter(concatenate(cy, cr).clauses) == Counter(f.clauses)
-            checked += 1
-    print(f"\nPASS criterion 3: partition and reassembly on {checked} formulas")
+def test_criterion_3_partition_and_reassembly(corpus):
+    assert suite.check_partition(corpus[0]) == (336, 336)
+    print("\nPASS criterion 3: partition and reassembly on 336 formulas")
 
 
-def test_criterion_4_counting_claims(corpus_histories):
-    kim_bound = 4
-    entries = [(m, h) for m, h in corpus_histories if h.transitions <= kim_bound]
-    satisfiable_seen = 0
-    runs = 0
-    for base in fixture_machines():
-        pm = parity.build_parity_machine(entries, kim_bound, base)
-        for y in ("0", "1", "11"):
-            report = parity.run_parity_machine(pm, y)
-            runs += 1
-            for inst in report.instances:
-                if not inst.satisfiable:
-                    continue
-                satisfiable_seen += 1
-                metrics = parity.transition_metrics(report, inst.index)
-                claims = parity.check_counting_claims(metrics)
-                assert claims.j_gt_k, (base.name, y, inst.index)
-                assert claims.i_gt_j, (base.name, y, inst.index)
-                assert claims.equality_incompatible_with_chain
-                assert not (claims.chain and claims.i_eq_k)
-    assert satisfiable_seen > 0, "no satisfiable instance in any run"
-    print(f"\nPASS criterion 4: i > j > k on {satisfiable_seen} satisfiable "
+def _reduce_with(monkeypatch, bad):
+    def reduce_with_bad_clause(m, y, bound):
+        f = reduce_machine(m, y, bound)
+        f.clauses.append(bad)
+        return f
+
+    monkeypatch.setattr(suite, "reduce_machine", reduce_with_bad_clause)
+
+
+@pytest.mark.parametrize("bad", [Clause((1, -1), "G1"), Clause((1,), "G7")],
+                         ids=["tautology", "unknown-group"])
+def test_criterion_3_flags_ill_formed_clauses(monkeypatch, bad):
+    _reduce_with(monkeypatch, bad)
+    assert suite.check_partition(suite.corpus_records(0, 2)) == (0, 24)
+
+
+def test_criterion_3_refuses_empty_clause(monkeypatch):
+    _reduce_with(monkeypatch, Clause((), "G1"))
+    with pytest.raises(ValueError, match="empty clause"):
+        suite.corpus_records(0, 2)
+
+
+def test_criterion_4_counting_claims(histories):
+    good, runs, satisfiable = suite.check_parity_machine(
+        histories, fixture_machines(), ("0", "1", "11"))
+    assert good == runs == 12
+    assert satisfiable > 0, "no satisfiable instance in any run"
+    print(f"\nPASS criterion 4: i > j > k on {satisfiable} satisfiable "
           f"instances across {runs} runs")
 
 
-def test_criterion_5_merge_properties(corpus_histories):
-    pairs = 0
-    for ia, (ma, ha) in enumerate(corpus_histories):
-        ta = extract_particular_table(ha, ma)
-        states_a = ta.states() | {ha.configs[0].state}
-        for ib, (mb, hb) in enumerate(corpus_histories):
-            if ia == ib:
-                continue
-            tb = extract_particular_table(hb, mb)
-            merged = merge_tables(ta, tb, ha.configs[0].state, hb.configs[0].state)
-            assert table_generates(merged, ha)
-            assert table_generates(merged, hb)
-            assert not is_deterministic(merged)
-            assert len(merged.selector) == 2
-            renamed_b = merged.states() - states_a - {merged.selector_state}
-            assert merged.states() > states_a
-            assert len(renamed_b) == len(tb.states() | {hb.configs[0].state})
-            assert merged != ta and merged != tb
-            pairs += 1
+def test_criterion_5_merge_properties(histories):
+    good, pairs = suite.check_merge(histories)
+    assert good == pairs == len(histories) * (len(histories) - 1)
     print(f"\nPASS criterion 5: merge properties on {pairs} history pairs")
 
 
-def test_criterion_6_particular_table_round_trip(corpus_histories):
-    for m, h in corpus_histories:
-        t = extract_particular_table(h, m)
-        assert table_generates(t, h)
-        for key, targets in t.entries.items():
-            assert set(targets) <= set(m.table.entries.get(key, ()))
-    print(f"\nPASS criterion 6: particular-table round trip on "
-          f"{len(corpus_histories)} histories")
+def test_criterion_6_particular_table_round_trip(histories):
+    good, total = suite.check_particular_tables(histories)
+    assert good == total > 0, "corpus produced no accepting history"
+    print(f"\nPASS criterion 6: particular-table round trip on {total} histories")
 
 
 def test_criterion_7_solver_cross_validation():
     start = time.monotonic()
-    rng = random.Random(987654321)
-    count = 500
-    for _ in range(count):
-        f = random_cnf(rng)
-        assert solve_dpll(f).satisfiable == solve_bruteforce(f).satisfiable
+    assert suite.check_solver_agreement(500, 987654321) == (500, 500)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
-    print(f"\nPASS criterion 7: solver cross-validation on {count} formulas "
-          f"({elapsed:.1f}s)")
+    print(f"\nPASS criterion 7: solver cross-validation on 500 formulas ({elapsed:.1f}s)")
 
 
 def test_criterion_8_argument_analysis():
-    report = analyze_modus_tollens_schema()
-    assert report["schema_valid"]
-    assert report["implication_tautology_under_axiom"]
-    assert not report["negated_implication_satisfiable_under_axiom"]
-    assert not report["premise_set_satisfiable"]
-    assert report["valid"] and report["vacuous"]
+    assert suite.check_argument_analysis() == (1, 1)
     print("\nPASS criterion 8: argument analysis")
 
 
 def test_criterion_9_determinism(tmp_path, capsys):
-    first_lines, first_ok = run_corpus_checks()
-    second_lines, second_ok = run_corpus_checks()
+    first_lines, first_ok = suite.run_corpus_checks()
+    second_lines, second_ok = suite.run_corpus_checks()
     assert first_ok and second_ok
     assert first_lines == second_lines
 

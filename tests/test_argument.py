@@ -8,9 +8,11 @@ from tmsatlab.argument import (
     FormulaSyntaxError,
     Iff,
     Implies,
+    NESTING_GUARD,
     Not,
     analyze_argument,
     analyze_modus_tollens_schema,
+    atoms,
     eval_prop,
     is_satisfiable,
     is_tautology,
@@ -62,6 +64,21 @@ class TestParser:
     def test_round_trip_via_str(self):
         f = parse_formula("(P1 -> (P2 -> P3)) & !(P2 -> P3)")
         assert parse_formula(str(f)) == f
+
+    @staticmethod
+    def nested(op, depth):
+        """A formula `depth` operators deep."""
+        if op == "!":
+            return "!" * depth + "p"
+        return f" {op} ".join(f"a{i % 5}" for i in range(depth + 1))
+
+    @pytest.mark.parametrize("op", ["->", "&", "|", "<->", "!"])
+    def test_nesting_guard(self, op):
+        f = parse_formula(self.nested(op, NESTING_GUARD))
+        assert parse_formula(str(f)) == f
+        eval_prop(f, dict.fromkeys(atoms(f), True))  # recurses as deep as f
+        with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+            parse_formula(self.nested(op, NESTING_GUARD + 1))
 
 
 class TestValidity:

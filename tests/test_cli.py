@@ -255,3 +255,17 @@ class TestArgue:
         payload = json.loads(capsys.readouterr().out)
         assert payload["valid"] is False
         assert payload["counterexample"] == {"p": False, "q": True}
+
+    @pytest.mark.parametrize("formula", [
+        " -> ".join(f"a{i % 5}" for i in range(250)),
+        " & ".join("p" for _ in range(300)),
+        "(" * 3000 + "p" + ")" * 3000,
+        "!" * 3000 + "p",
+    ], ids=["implies-250", "and-300", "parens-3000", "not-3000"])
+    def test_deep_formula_is_usage_error(self, tmp_path, capsys, formula):
+        schema = tmp_path / "s.arg"
+        schema.write_text(f"conclusion: {formula}\n")
+        assert main(["argue", "--schema", str(schema)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: formula nested too deeply")
+        assert err.count("\n") == 1

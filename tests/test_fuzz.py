@@ -1,0 +1,66 @@
+"""Fuzzing of the three text parsers: each raises only its declared error,
+and DIMACS text survives a round trip."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tmsatlab.argument import FormulaSyntaxError, parse_formula
+from tmsatlab.fixtures import FIXTURE_NAMES, fixture_text
+from tmsatlab.machine import MachineError, parse_machine
+from tmsatlab.sat import CnfFormula, DimacsError, from_dimacs, to_dimacs
+
+
+@st.composite
+def edited(draw, valid, pieces, sep):
+    """One of the valid texts with a few units (lines, or tokens of a
+    formula) inserted or replaced, so that most examples get past the
+    first check. A unit drawn empty stands for a deletion."""
+    units = draw(st.sampled_from(valid)).split(sep)
+    unit = st.one_of(st.lists(st.sampled_from(pieces), max_size=4).map(" ".join),
+                     st.text(max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(units)))
+        units[i:i + draw(st.integers(0, 1))] = [draw(unit)]
+    return sep.join(units)
+
+
+MACHINES = [fixture_text(name) for name in FIXTURE_NAMES]
+MACHINE_PIECES = sorted({tok for text in MACHINES for tok in text.split()})
+FORMULAS = ["(P1 -> (P2 -> P3)) & !(P2 -> P3)", "p & q | r -> s <-> t", "!(p | q)"]
+FORMULA_PIECES = ["p", "q", "!", "&", "|", "->", "<->", "(", ")"]
+DIMACS = [to_dimacs(CnfFormula(3, [[1, -2], [2, 3], [-3]], ("x",))), "p cnf 2 0\n"]
+DIMACS_PIECES = ["p", "cnf", "c", "0", "1", "-1", "2", "-3"]
+
+
+@pytest.mark.parametrize("parse, error, valid, pieces, sep", [
+    (parse_machine, MachineError, MACHINES, MACHINE_PIECES, "\n"),
+    (parse_formula, FormulaSyntaxError, FORMULAS, FORMULA_PIECES, " "),
+    (from_dimacs, DimacsError, DIMACS, DIMACS_PIECES, "\n"),
+], ids=["parse_machine", "parse_formula", "from_dimacs"])
+def test_parser_raises_only_its_declared_error(parse, error, valid, pieces, sep):
+    @settings(max_examples=150, deadline=None)
+    @given(edited(valid, pieces, sep))
+    def check(text):
+        try:
+            parse(text)
+        except error:
+            pass
+
+    check()
+
+
+@st.composite
+def cnf_formulas(draw):
+    n = draw(st.integers(1, 12))
+    literal = st.integers(-n, n).filter(bool)
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=6), max_size=12))
+    comments = draw(st.lists(st.text("abc xyz=019", max_size=12).map(str.strip),
+                             max_size=3))
+    return CnfFormula(n, clauses, tuple(comments))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cnf_formulas())
+def test_dimacs_round_trip(f):
+    assert from_dimacs(to_dimacs(f)) == f
