@@ -249,9 +249,10 @@ def _cmd_argue(args) -> int:
 
 
 def _cmd_corpus_test(args) -> int:
-    lines, ok = run_corpus_checks()
-    for line in lines:
-        print(line)
+    ok = True
+    for passed, line in run_corpus_checks():
+        print(line, flush=True)
+        ok = ok and passed
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import argument, parity
 from .fixtures import fixture_machines, load_fixture, random_corpus
@@ -22,6 +22,7 @@ from .machine import (
     Machine,
     accepts_within,
     extract_particular_table,
+    initial_configuration,
     is_deterministic,
     merge_tables,
     table_generates,
@@ -177,8 +178,11 @@ def check_merge(histories: Sequence[History]) -> Tuple[int, int]:
 def check_parity_machine(histories: Sequence[History], bases: Sequence[Machine],
                          inputs: Sequence[str]) -> Tuple[int, int, int]:
     """One parity-machine run per base and input over the histories of at
-    most CORPUS_BOUND transitions. Returns (good runs, runs, satisfiable
-    instances checked)."""
+    most CORPUS_BOUND transitions. A run is good when its counts hold the
+    claims and every satisfiable instance decodes to a run of its entry's
+    table from the base's initial configuration on y that ends in the
+    entry's accept state. Returns (good runs, runs, satisfiable instances
+    checked)."""
     entries = [(m, h) for m, h in histories if h.transitions <= CORPUS_BOUND]
     good = runs = satisfiable = 0
     for base in bases:
@@ -186,16 +190,21 @@ def check_parity_machine(histories: Sequence[History], bases: Sequence[Machine],
         for y in inputs:
             report = parity.run_parity_machine(pm, y)
             runs += 1
+            start = initial_configuration(base, y)
             ok = (report.accept == (report.counter % 2 == 1)
                   and report.cost >= report.input_clause_count)
             for inst in report.instances:
                 if not inst.satisfiable:
                     continue
                 satisfiable += 1
+                entry, h = entries[inst.index][0], inst.history
                 claims = parity.check_counting_claims(
                     parity.transition_metrics(report, inst.index))
                 ok = (ok and claims.i_gt_j and claims.j_gt_k
-                      and claims.equality_incompatible_with_chain)
+                      and claims.equality_incompatible_with_chain
+                      and h.configs[0] == start
+                      and h.configs[-1].state == entry.accept
+                      and table_generates(entry.table, h))
             good += ok
     return good, runs, satisfiable
 
@@ -220,26 +229,28 @@ def check_argument_analysis() -> Tuple[int, int]:
     return (1 if ok else 0), 1
 
 
-def run_corpus_checks() -> Tuple[List[str], bool]:
+def _result(name: str, counts: Tuple[int, int]) -> Tuple[bool, str]:
+    good, total = counts
+    passed = 0 < total == good
+    return passed, f"{'PASS' if passed else 'FAIL'} {name}: {good}/{total}"
+
+
+def run_corpus_checks() -> Iterator[Tuple[bool, str]]:
     """The suite at `corpus-test` size: fixtures at CORPUS_BOUND plus 10
     random machines, the parity machine over the fixture histories with
-    base m_accept1 on inputs 0 and 1, and 100 random CNFs. A check passes
-    when it holds on every one of a non-empty set of cases."""
+    base m_accept1 on inputs 0 and 1, and 100 random CNFs. Yields
+    (passed, line) as each check ends. A check passes when it holds on
+    every one of a non-empty set of cases."""
     records = corpus_records(10, CORPUS_BOUND)
     histories = accepted_histories(records)
     fixture_histories = accepted_histories([r for r in records if r.fixture])
-    results = [
-        ("oracle-equivalence", check_oracle_equivalence(records)),
-        ("certification-round-trip", check_certification(records)),
-        ("input-run-partition", check_partition(records)),
-        ("particular-table-round-trip", check_particular_tables(histories)),
-        ("merge-properties", check_merge(histories)),
-        ("parity-machine-claims", check_parity_machine(
-            fixture_histories, [load_fixture("m_accept1")], ("0", "1"))[:2]),
-        ("solver-cross-validation", check_solver_agreement(100, RANDOM_CNF_SEED)),
-        ("argument-analysis", check_argument_analysis()),
-    ]
-    passed = [0 < total == good for _, (good, total) in results]
-    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {good}/{total}"
-             for ok, (name, (good, total)) in zip(passed, results)]
-    return lines, all(passed)
+    yield _result("oracle-equivalence", check_oracle_equivalence(records))
+    yield _result("certification-round-trip", check_certification(records))
+    yield _result("input-run-partition", check_partition(records))
+    yield _result("particular-table-round-trip", check_particular_tables(histories))
+    yield _result("merge-properties", check_merge(histories))
+    yield _result("parity-machine-claims", check_parity_machine(
+        fixture_histories, [load_fixture("m_accept1")], ("0", "1"))[:2])
+    yield _result("solver-cross-validation",
+                  check_solver_agreement(100, RANDOM_CNF_SEED))
+    yield _result("argument-analysis", check_argument_analysis())

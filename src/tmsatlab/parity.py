@@ -2,8 +2,7 @@
 
 Builds the machine from encoded accepting computations, executes its
 concatenate-solve-count algorithm, accounts the (i, j, k) transition and
-clause counts, checks their ordering claims, and searches for a
-shared-particular-table witness among the decoded computations.
+clause counts, and checks their ordering claims.
 """
 
 from __future__ import annotations
@@ -12,12 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .machine import (
-    ComputationHistory,
-    Machine,
-    extract_particular_table,
-    table_generates,
-)
+from .machine import ComputationHistory, Machine
 from .reduction import (
     LabeledFormula,
     check_history,
@@ -90,9 +84,10 @@ class ClaimReport:
 
 
 def _run_part_key(m: Machine, bound: int) -> tuple:
-    """What a run part depends on: the bound and every field of m except
-    its name. The input alphabet and the rule order count, because decode
-    checks the input and the Tr variables are numbered by rule."""
+    """The bound and every field of m except its name. Entries with equal
+    keys have machines equal up to name, so the run part they share, its
+    grid's machine included, is the one each would build; the rule order
+    counts because the Tr variables are numbered by rule."""
     return (bound, m.states, m.input_alphabet, m.tape_alphabet, m.blank,
             m.start, m.accept, m.reject, tuple(m.rules()))
 
@@ -123,7 +118,9 @@ def build_parity_machine(histories, bound: int, base: Machine) -> ParityMachine:
 def run_parity_machine(pm: ParityMachine, y: str) -> RunReport:
     """The embedded algorithm: build the input part for y, concatenate it
     with every stored run part in library order, solve each, count the
-    satisfiable ones, and accept iff the count is odd.
+    satisfiable ones, and accept iff the count is odd. A satisfiable
+    instance decodes to a run of the entry's rules from the input part's
+    initial configuration, that of the base machine on y.
 
     Grid-incompatible entries count as unsatisfiable. Entries that share
     a run-part object are counted, charged and reported one by one, but
@@ -193,43 +190,6 @@ def check_counting_claims(m: Metrics) -> ClaimReport:
         chain=chain,
         equality_incompatible_with_chain=not (chain and i_eq_k),
     )
-
-
-@dataclass
-class SharedTableWitness:
-    candidate: int
-    input: str
-    instance_a: int
-    instance_b: int
-
-
-@dataclass
-class SharedTableSearchReport:
-    witness: Optional[SharedTableWitness]
-    examined: List[Tuple[int, str, int]]  # (candidate, input, satisfiable count)
-
-
-def find_shared_table_witness(candidates: List[ParityMachine],
-                              inputs: List[str]) -> SharedTableSearchReport:
-    """Exhaustive search for a decoded computation whose particular table
-    also generates the decoded computation of a different satisfiable
-    instance on the same input."""
-    examined: List[Tuple[int, str, int]] = []
-    for ci, pm in enumerate(candidates):
-        for y in inputs:
-            report = run_parity_machine(pm, y)
-            decoded = [(inst.index, inst.history, pm.library[inst.index])
-                       for inst in report.instances if inst.satisfiable]
-            examined.append((ci, y, len(decoded)))
-            for ai, (idx_a, hist_a, entry_a) in enumerate(decoded):
-                table = extract_particular_table(hist_a, entry_a.machine)
-                for idx_b, hist_b, _ in decoded:
-                    if idx_b == idx_a:
-                        continue
-                    if table_generates(table, hist_b):
-                        return SharedTableSearchReport(
-                            SharedTableWitness(ci, y, idx_a, idx_b), examined)
-    return SharedTableSearchReport(None, examined)
 
 
 def metrics_view(report: RunReport, chosen: int) -> Tuple[dict, dict]:

@@ -10,7 +10,7 @@ transition semantics via explicit selector variables plus frame clauses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Tuple, Union
 
 from .machine import (
     LEFT,
@@ -18,7 +18,6 @@ from .machine import (
     ComputationHistory,
     Configuration,
     Machine,
-    apply_target,
     initial_configuration,
     used_rule_indices,
 )
@@ -38,27 +37,6 @@ class GridIncompatibleError(ReductionError):
 
 class MalformedModelError(ReductionError):
     """An assignment violating a G1/G2/G3 uniqueness constraint."""
-
-
-@dataclass(frozen=True)
-class VarMeaning:
-    """What a CNF variable asserts about the computation grid."""
-
-    kind: str  # "Q" state, "H" head, "S" symbol, "Tr" transition selector
-    time: int
-    state: Optional[str] = None
-    cell: Optional[int] = None
-    symbol: Optional[str] = None
-    rule: Union[int, str, None] = None  # rule index or PAD
-
-    def __str__(self):
-        if self.kind == "Q":
-            return f"Q({self.time},{self.state})"
-        if self.kind == "H":
-            return f"H({self.time},{self.cell})"
-        if self.kind == "S":
-            return f"S({self.time},{self.cell},{self.symbol})"
-        return f"Tr({self.time},{self.rule})"
 
 
 class Clause(NamedTuple):
@@ -106,14 +84,17 @@ class _Grid:
                 self.tr[(i, r)] = vid
         self.var_count = vid
 
-    def meanings(self) -> Dict[int, VarMeaning]:
-        """What each variable asserts, in id order; built on each call."""
-        out = {vid: VarMeaning("Q", i, state=k) for (i, k), vid in self.q.items()}
-        out.update((vid, VarMeaning("H", i, cell=j)) for (i, j), vid in self.h.items())
-        out.update((vid, VarMeaning("S", i, cell=j, symbol=sym))
-                   for (i, j, sym), vid in self.s.items())
-        out.update((vid, VarMeaning("Tr", i, rule=r)) for (i, r), vid in self.tr.items())
-        return out
+    def labels(self) -> Iterator[Tuple[int, str]]:
+        """(id, label) of every variable in id order, such as
+        (1, "Q(0,q0)"); the Tr label of padding is "Tr(i,PAD)"."""
+        for (i, k), vid in self.q.items():
+            yield vid, f"Q({i},{k})"
+        for (i, j), vid in self.h.items():
+            yield vid, f"H({i},{j})"
+        for (i, j, sym), vid in self.s.items():
+            yield vid, f"S({i},{j},{sym})"
+        for (i, r), vid in self.tr.items():
+            yield vid, f"Tr({i},{r})"
 
 
 @dataclass
@@ -140,10 +121,6 @@ class LabeledFormula:
     @property
     def machine(self) -> Machine:
         return self.grid.machine
-
-    @property
-    def var_meanings(self) -> Dict[int, VarMeaning]:
-        return self.grid.meanings()
 
 
 def _exactly_one(ids: List[int], group: str) -> List[Clause]:
@@ -328,21 +305,21 @@ def encode_history(m: Machine, h: ComputationHistory, bound: int):
     return f, induced_assignment(h, f.grid, rule_ids)
 
 
-def _read_unique(a: Dict[int, bool], ids: Dict, keys, what: str):
-    true_keys = [key for key in keys if a.get(ids[key])]
-    if len(true_keys) != 1:
-        raise MalformedModelError(
-            f"assignment sets {len(true_keys)} {what} variables true, expected 1")
-    return true_keys[0]
-
-
 def decode_assignment(f: LabeledFormula, a: Dict[int, bool]) -> ComputationHistory:
-    """Read a satisfying assignment back into a computation history.
+    """Read a satisfying assignment back into a computation history: the
+    configuration at each time step straight off the Q/H/S grid, up to
+    the first accepting one.
 
-    Replays the machine's rules as chosen by the Tr variables, verifying
-    each configuration against the Q/H/S grid, and strips the trailing
-    accept-state padding.
+    Once every clause holds, the grid is the history: G1-G3 give one
+    state, head and symbol per cell, G6 ties each step to a rule or, in
+    the accept state, to padding, and G5 forces acceptance by the final
+    time. The tape starts at the input's cells (one blank for the empty
+    input) and grows to cover the head, as a right move off its last
+    cell grows it in the simulator. So f must hold every group: a model
+    of an input or run part alone fixes no history.
     """
+    if not set(GROUPS) <= {c.group for c in f.clauses}:
+        raise ValueError("decode needs a formula with every clause group G1-G6")
     for clause in f.clauses:
         if not any(a.get(abs(lit)) == (lit > 0) for lit in clause.literals):
             if clause.group in ("G1", "G2", "G3"):
@@ -351,47 +328,17 @@ def decode_assignment(f: LabeledFormula, a: Dict[int, bool]) -> ComputationHisto
             raise ValueError("assignment does not satisfy the formula")
 
     g = f.grid
-    m = g.machine
-    T = g.bound
-
-    def check_against_grid(i: int, c: Configuration):
-        state = _read_unique(a, g.q, [(i, k) for k in g.states], "state")
-        head = _read_unique(a, g.h, [(i, j) for j in range(T + 1)], "head")
-        if state != (i, c.state) or head != (i, c.head):
-            raise MalformedModelError(f"replayed configuration at time {i} "
-                                      "disagrees with the assignment grid")
-        for j in range(T + 1):
-            sym = _read_unique(a, g.s, [(i, j, l) for l in g.symbols], "symbol")
-            if sym != (i, j, _config_symbol(c, j, m.blank)):
-                raise MalformedModelError(
-                    f"cell {j} at time {i} disagrees with the assignment grid")
-
-    config = initial_configuration(m, f.input)
-    configs = [config]
-    check_against_grid(0, config)
-    rules = g.rules
-    for i in range(T):
-        chosen = None
-        for r in range(len(rules)):
-            if a.get(g.tr[(i, r)]):
-                chosen = r
-                break
-        if chosen is None:
-            if not a.get(g.tr[(i, PAD)]):
-                raise MalformedModelError(f"no transition selected at time {i}")
-            if config.state != m.accept:
-                raise MalformedModelError(
-                    f"padding selected at time {i} outside the accept state")
+    cells = max(len(f.input), 1)
+    configs = []
+    for i in range(g.bound + 1):
+        state = next(k for k in g.states if a.get(g.q[(i, k)]))
+        head = next(j for j in range(g.bound + 1) if a.get(g.h[(i, j)]))
+        cells = max(cells, head + 1)
+        tape = tuple(next(l for l in g.symbols if a.get(g.s[(i, j, l)]))
+                     for j in range(cells))
+        configs.append(Configuration(state, head, tape))
+        if state == g.machine.accept:
             break
-        state, symbol, nxt, write, move = rules[chosen]
-        if config.state != state or config.tape[config.head] != symbol:
-            raise MalformedModelError(
-                f"rule {chosen} selected at time {i} is not applicable")
-        config = apply_target(config, (nxt, write, move), m.blank)
-        configs.append(config)
-        check_against_grid(i + 1, config)
-    if configs[-1].state != m.accept:
-        raise MalformedModelError("decoded history does not end in the accept state")
     return ComputationHistory(tuple(configs), f.input)
 
 

@@ -227,14 +227,12 @@ def solve_bruteforce(f: CnfFormula) -> SolveResult:
 def to_dimacs(f) -> str:
     """Render a CnfFormula or LabeledFormula as DIMACS text.
 
-    Labeled formulas get `c var <id> = <meaning>` headers and a
+    Labeled formulas get `c var <id> = <label>` headers and a
     `c clause <n> group G<k>` comment before each clause.
     """
     lines: List[str] = []
     if isinstance(f, LabeledFormula):
-        meanings = f.var_meanings
-        for vid in sorted(meanings):
-            lines.append(f"c var {vid} = {meanings[vid]}")
+        lines.extend(f"c var {vid} = {label}" for vid, label in f.grid.labels())
         lines.append(f"p cnf {f.var_count} {f.clause_count}")
         for idx, clause in enumerate(f.clauses, start=1):
             lines.append(f"c clause {idx} group {clause.group}")

@@ -106,10 +106,10 @@ def test_criterion_8_argument_analysis():
 
 
 def test_criterion_9_determinism(tmp_path, capsys):
-    first_lines, first_ok = suite.run_corpus_checks()
-    second_lines, second_ok = suite.run_corpus_checks()
-    assert first_ok and second_ok
-    assert first_lines == second_lines
+    first = list(suite.run_corpus_checks())
+    second = list(suite.run_corpus_checks())
+    assert all(passed for passed, _ in first)
+    assert first == second
 
     from tmsatlab.fixtures import fixture_text
     machine = tmp_path / "m.tm"

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from tmsatlab import sat
+from tmsatlab import parity, sat
 from tmsatlab.cli import main
 from tmsatlab.fixtures import fixture_text
+from tmsatlab.reduction import input_part
 
 
 @pytest.fixture()
@@ -195,6 +196,47 @@ class TestKim:
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == ["entries", "bound", "base", "distinct_run_parts"]
         assert payload["distinct_run_parts"] == 2
+
+    def test_run_entry_with_other_start(self, tmp_path, capsys):
+        # The base starts in q1 and the entry in q0: the concatenation runs
+        # the entry's rules from the base's initial configuration.
+        text = ("states: q0 q1 qacc\nstart: {}\naccept: qacc\nblank: _\n"
+                "input_alphabet: 0 1\ntape_alphabet: 0 1 _\n"
+                "rule: q0 1 -> qacc 1 R\nrule: q1 1 -> q0 1 S\n")
+        base = tmp_path / "base.tm"
+        base.write_text(text.format("q1"))
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        (lib / "e0.tm").write_text(text.format("q0"))
+        (lib / "e0.in").write_text("1\n")
+        assert main(["kim", "run", "--library", str(lib), "--base", str(base),
+                     "-T", "4", "-i", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["counter"] == 1
+        assert payload["instances"][0]["history_len"] == 2
+
+
+class TestCorpusTest:
+    def test_lines_of_finished_checks_survive_a_raising_check(self, monkeypatch,
+                                                              capsys):
+        # An input part that keeps a G6 clause makes the parity check's
+        # concatenate raise after five checks have passed.
+        def leaky_input_part(f):
+            cy = input_part(f)
+            cy.clauses.append(next(c for c in f.clauses if c.group == "G6"))
+            return cy
+
+        monkeypatch.setattr(parity, "input_part", leaky_input_part)
+        assert main(["corpus-test"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "PASS oracle-equivalence: 84/84",
+            "PASS certification-round-trip: 42/42",
+            "PASS input-run-partition: 84/84",
+            "PASS particular-table-round-trip: 42/42",
+            "PASS merge-properties: 1722/1722",
+        ]
+        assert captured.err == "error: first argument must contain only G4 clauses\n"
 
 
 class TestFileErrors:

@@ -9,6 +9,7 @@ from tmsatlab.machine import (
     accepts_within,
     initial_configuration,
     parse_machine,
+    table_generates,
 )
 from tmsatlab.parity import (
     Metrics,
@@ -16,7 +17,6 @@ from tmsatlab.parity import (
     UndecodedInstanceError,
     build_parity_machine,
     check_counting_claims,
-    find_shared_table_witness,
     report_to_dict,
     report_to_json,
     run_parity_machine,
@@ -188,6 +188,43 @@ class TestSharedRunParts:
             build_parity_machine([], 0, m_accept1)
 
 
+def grid_machine(name, start="q0", inputs="0 1", rules=()):
+    """A machine over states q0 q1 qacc and tape alphabet 0 1 _."""
+    lines = ["states: q0 q1 qacc", f"start: {start}", "accept: qacc", "blank: _",
+             f"input_alphabet: {inputs}", "tape_alphabet: 0 1 _"]
+    return parse_machine("\n".join(lines + [f"rule: {r}" for r in rules]), name)
+
+
+class TestDecodeFromInputPart:
+    """A satisfiable concatenation decodes to a run of the entry's rules
+    from the base machine's initial configuration on y, even where the
+    entry's own machine starts elsewhere or does not take y as input."""
+
+    CASES = {
+        "other start": (
+            grid_machine("base", start="q1"),
+            grid_machine("entry", rules=("q0 1 -> qacc 1 R", "q1 1 -> q0 1 S")),
+            "1"),
+        "narrower input alphabet": (
+            grid_machine("base"),
+            grid_machine("entry", inputs="0",
+                         rules=("q0 0 -> qacc 0 R", "q0 1 -> qacc 1 R")),
+            "0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sat_instance_decodes_from_base_start(self, case):
+        base, entry, entry_input = self.CASES[case]
+        pm = build_parity_machine([(entry, witness(entry, entry_input))], 4, base)
+        report = run_parity_machine(pm, "1")
+        inst = report.instances[0]
+        assert inst.satisfiable and report.accept
+        assert inst.history.configs[0] == initial_configuration(base, "1")
+        assert inst.history.configs[-1].state == entry.accept
+        assert table_generates(entry.table, inst.history)
+        assert check_counting_claims(transition_metrics(report, 0)).chain
+
+
 class TestMetrics:
     def test_cost_identity_single_entry(self, single_entry):
         report = run_parity_machine(single_entry, "1")
@@ -232,35 +269,3 @@ class TestClaims:
                     if claims.chain:
                         assert not claims.i_eq_k
                         assert claims.equality_incompatible_with_chain
-
-
-class TestSharedTableSearch:
-    def test_empty_candidates(self):
-        report = find_shared_table_witness([], ["1"])
-        assert report.witness is None and report.examined == []
-
-    def test_empty_library_candidate(self, m_accept1):
-        pm = build_parity_machine([], 4, m_accept1)
-        report = find_shared_table_witness([pm], ["1"])
-        assert report.witness is None
-        assert report.examined == [(0, "1", 0)]
-
-    def test_disjoint_machines_give_absence(self, m_accept1, m_parity):
-        pm = build_parity_machine(
-            [(m_accept1, witness(m_accept1, "1")),
-             (m_parity, witness(m_parity, "11"))],
-            4, m_accept1)
-        report = find_shared_table_witness([pm], ["0", "11"])
-        assert report.witness is None
-        assert len(report.examined) == 2
-
-    def test_shared_transition_found_when_it_exists(self, m_accept1, m_nd):
-        # m_nd shares m_accept1's state space and its accepting branch uses
-        # the same transition, so the decoded computations share a table.
-        pm = build_parity_machine(
-            [(m_accept1, witness(m_accept1, "1")),
-             (m_nd, witness(m_nd, "1"))],
-            4, m_accept1)
-        report = find_shared_table_witness([pm], ["1"])
-        assert report.witness is not None
-        assert report.witness.input == "1"

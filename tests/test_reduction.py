@@ -24,16 +24,12 @@ from tmsatlab.reduction import (
 from tmsatlab.sat import CnfFormula, check_model, solve_dpll, to_cnf
 
 
-def kind_count(f, kind):
-    return sum(1 for mn in f.var_meanings.values() if mn.kind == kind)
-
-
 class TestReduce:
     def test_variable_grid_sizes(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 1)
-        assert kind_count(f, "Q") == 6
-        assert kind_count(f, "H") == 4
-        assert kind_count(f, "S") == 12
+        assert len(f.grid.q) == 6
+        assert len(f.grid.h) == 4
+        assert len(f.grid.s) == 12
 
     def test_satisfiable_iff_accepting(self, m_accept1):
         assert solve_dpll(to_cnf(reduce_machine(m_accept1, "1", 1))).satisfiable
@@ -217,20 +213,25 @@ class TestDecode:
         result = solve_dpll(to_cnf(f))
         broken = dict(result.assignment)
         # force a second state variable true at time 0
-        for vid, mn in f.var_meanings.items():
-            if mn.kind == "Q" and mn.time == 0 and not broken[vid]:
-                broken[vid] = True
+        for k in f.grid.states:
+            if not broken[f.grid.q[(0, k)]]:
+                broken[f.grid.q[(0, k)]] = True
                 break
         with pytest.raises(MalformedModelError):
             decode_assignment(f, broken)
+
+    @pytest.mark.parametrize("part", [input_part, run_part])
+    def test_model_of_a_part_alone_rejected(self, m_accept1, part):
+        f = part(reduce_machine(m_accept1, "1", 2))
+        with pytest.raises(ValueError, match="every clause group"):
+            decode_assignment(f, solve_dpll(to_cnf(f)).assignment)
 
     def test_unsatisfying_assignment_rejected(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 1)
         result = solve_dpll(to_cnf(f))
         broken = dict(result.assignment)
         # falsify the G5 unit without breaking uniqueness
-        for vid, mn in f.var_meanings.items():
-            if mn.kind == "Q" and mn.time == 1:
-                broken[vid] = mn.state == "qrej"
+        for k in f.grid.states:
+            broken[f.grid.q[(1, k)]] = k == "qrej"
         with pytest.raises((ValueError, MalformedModelError)):
             decode_assignment(f, broken)
