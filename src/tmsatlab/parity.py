@@ -84,20 +84,19 @@ class ClaimReport:
 
 
 def _run_part_key(m: Machine, bound: int) -> tuple:
-    """The bound and every field of m except its name. Entries with equal
-    keys have machines equal up to name, so the run part they share, its
-    grid's machine included, is the one each would build; the rule order
-    counts because the Tr variables are numbered by rule."""
-    return (bound, m.states, m.input_alphabet, m.tape_alphabet, m.blank,
-            m.start, m.accept, m.reject, tuple(m.rules()))
+    """What the run-part clauses of m at `bound` depend on: the grid
+    signature (bound, states, tape alphabet), the accept state (G5 and
+    padding) and the rules in order (G6; the Tr variables are numbered by
+    rule). The start state, blank and input alphabet enter only G4."""
+    return machine_grid_signature(m, bound), m.accept, tuple(m.rules())
 
 
 def build_parity_machine(histories, bound: int, base: Machine) -> ParityMachine:
     """Encode each (machine, accepting history) pair and keep only the
     run part. Entries with the same `_run_part_key` share one run-part
     object, reduced once; every entry's history still gets every check of
-    `encode_history`. Entries whose variable grid cannot unify with the
-    base machine's are flagged as incompatible."""
+    `encode_history`. Entries whose grid signature differs from the base
+    machine's are flagged as incompatible."""
     base_sig = machine_grid_signature(base, bound)
     parts: Dict[tuple, LabeledFormula] = {}
     library: List[LabeledFormula] = []
@@ -110,7 +109,7 @@ def build_parity_machine(histories, bound: int, base: Machine) -> ParityMachine:
             formula, _ = encode_history(m, h, bound)
             parts[key] = run_part(formula)
         library.append(parts[key])
-        if machine_grid_signature(m, bound) != base_sig:
+        if key[0] != base_sig:
             incompatible.append(idx)
     return ParityMachine(library, base, bound, tuple(incompatible))
 
@@ -123,34 +122,29 @@ def run_parity_machine(pm: ParityMachine, y: str) -> RunReport:
     initial configuration, that of the base machine on y.
 
     Grid-incompatible entries count as unsatisfiable. Entries that share
-    a run-part object are counted, charged and reported one by one, but
-    the shared part is solved and decoded once per call.
+    a run-part object, and so its grid signature, are counted, charged and
+    reported one by one, but the shared part is solved once per call.
     """
     cy = input_part(reduce_machine(pm.base, y, pm.bound))
-    groups_of: Dict[int, Dict[str, int]] = {}  # by id of the run-part object
-    outcome_of: Dict[int, Tuple[bool, Optional[ComputationHistory]]] = {}
+    memo = {}  # id of a run-part object -> (groups, satisfiable, history)
     instances: List[InstanceResult] = []
     counter = 0
     for idx, cr in enumerate(pm.library):
-        part = id(cr)
-        if part not in groups_of:
-            groups_of[part] = clause_counts(cr)
-            groups_of[part]["G4"] += cy.clause_count
-        groups = dict(groups_of[part])
-        total = cy.clause_count + cr.clause_count
-        if idx in pm.incompatible_indices:
-            instances.append(InstanceResult(idx, total, groups, False, None))
-            continue
-        if part not in outcome_of:
-            cj = concatenate(cy, cr)
-            result = solve_dpll(to_cnf(cj))
-            history = None
-            if result.satisfiable:
-                history = decode_assignment(cj, result.assignment)
-            outcome_of[part] = (result.satisfiable, history)
-        satisfiable, history = outcome_of[part]
+        if id(cr) not in memo:
+            groups = clause_counts(cr)
+            groups["G4"] += cy.clause_count
+            satisfiable, history = False, None
+            if idx not in pm.incompatible_indices:
+                cj = concatenate(cy, cr)
+                result = solve_dpll(to_cnf(cj))
+                satisfiable = result.satisfiable
+                if satisfiable:
+                    history = decode_assignment(cj, result.assignment)
+            memo[id(cr)] = (groups, satisfiable, history)
+        groups, satisfiable, history = memo[id(cr)]
         counter += satisfiable
-        instances.append(InstanceResult(idx, total, groups, satisfiable, history))
+        instances.append(InstanceResult(idx, cy.clause_count + cr.clause_count,
+                                        dict(groups), satisfiable, history))
     cost = sum(inst.clause_count for inst in instances) + cy.clause_count
     designated = next((inst.index for inst in instances if inst.satisfiable), None)
     return RunReport(

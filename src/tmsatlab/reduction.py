@@ -306,40 +306,41 @@ def encode_history(m: Machine, h: ComputationHistory, bound: int):
 
 
 def decode_assignment(f: LabeledFormula, a: Dict[int, bool]) -> ComputationHistory:
-    """Read a satisfying assignment back into a computation history: the
-    configuration at each time step straight off the Q/H/S grid, up to
-    the first accepting one.
+    """Read a model of f, such as `solve_dpll` verifies, back into a
+    computation history: the configuration at each time step straight
+    off the Q/H/S grid, up to the first accepting one.
 
-    Once every clause holds, the grid is the history: G1-G3 give one
-    state, head and symbol per cell, G6 ties each step to a rule or, in
-    the accept state, to padding, and G5 forces acceptance by the final
-    time. The tape starts at the input's cells (one blank for the empty
-    input) and grows to cover the head, as a right move off its last
-    cell grows it in the simulator. So f must hold every group: a model
-    of an input or run part alone fixes no history.
+    In a model the grid is the history: G1-G3 give one state, head and
+    symbol per cell, G6 ties each step to a rule or, in the accept state,
+    to padding, and G5 forces acceptance by the final time. So decode
+    checks only what its read needs: one true variable in each row it
+    reads and an accepting configuration. The tape starts at the input's
+    cells (one blank for the empty input) and grows to cover the head, as
+    a right move off its last cell grows it in the simulator. f must hold
+    every group: a model of an input or run part alone fixes no history.
     """
     if not set(GROUPS) <= {c.group for c in f.clauses}:
         raise ValueError("decode needs a formula with every clause group G1-G6")
-    for clause in f.clauses:
-        if not any(a.get(abs(lit)) == (lit > 0) for lit in clause.literals):
-            if clause.group in ("G1", "G2", "G3"):
-                raise MalformedModelError(
-                    f"assignment violates a {clause.group} uniqueness clause")
-            raise ValueError("assignment does not satisfy the formula")
-
     g = f.grid
+
+    def the_one(ids: Dict, group: str):
+        true = [key for key, vid in ids.items() if a.get(vid)]
+        if len(true) != 1:
+            raise MalformedModelError(f"assignment violates a {group} uniqueness clause")
+        return true[0]
+
     cells = max(len(f.input), 1)
     configs = []
     for i in range(g.bound + 1):
-        state = next(k for k in g.states if a.get(g.q[(i, k)]))
-        head = next(j for j in range(g.bound + 1) if a.get(g.h[(i, j)]))
+        state = the_one({k: g.q[(i, k)] for k in g.states}, "G1")
+        head = the_one({j: g.h[(i, j)] for j in range(g.bound + 1)}, "G2")
         cells = max(cells, head + 1)
-        tape = tuple(next(l for l in g.symbols if a.get(g.s[(i, j, l)]))
+        tape = tuple(the_one({l: g.s[(i, j, l)] for l in g.symbols}, "G3")
                      for j in range(cells))
         configs.append(Configuration(state, head, tape))
         if state == g.machine.accept:
-            break
-    return ComputationHistory(tuple(configs), f.input)
+            return ComputationHistory(tuple(configs), f.input)
+    raise ValueError("assignment does not satisfy the formula")
 
 
 def clause_counts(f: LabeledFormula) -> Dict[str, int]:

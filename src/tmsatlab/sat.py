@@ -13,6 +13,9 @@ from typing import Dict, List, Optional, Tuple
 from .reduction import LabeledFormula
 
 BRUTE_FORCE_VAR_LIMIT = 24
+# The solver allocates per declared variable; the benchmark's largest
+# reduction has 10,039.
+DIMACS_VAR_LIMIT = 200_000
 
 
 class SatError(Exception):
@@ -31,7 +34,6 @@ class BruteForceGuardError(SatError):
 class CnfFormula:
     var_count: int
     clauses: List[List[int]]
-    comments: Tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.var_count < 0:
@@ -238,8 +240,6 @@ def to_dimacs(f) -> str:
             lines.append(f"c clause {idx} group {clause.group}")
             lines.append(" ".join(str(lit) for lit in clause.literals) + " 0")
     else:
-        for comment in f.comments:
-            lines.append(f"c {comment}")
         lines.append(f"p cnf {f.var_count} {len(f.clauses)}")
         for clause in f.clauses:
             lines.append(" ".join(str(lit) for lit in clause) + " 0")
@@ -247,16 +247,12 @@ def to_dimacs(f) -> str:
 
 
 def from_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF text, preserving comments as metadata."""
-    comments: List[str] = []
+    """Parse DIMACS CNF text of at most DIMACS_VAR_LIMIT variables."""
     header: Optional[Tuple[int, int]] = None
     tokens: List[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("c"):
-            comments.append(line[1:].strip())
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if header is not None:
@@ -270,6 +266,9 @@ def from_dimacs(text: str) -> CnfFormula:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
             if min(header) < 0:
                 raise DimacsError(f"line {lineno}: negative count in header {line!r}")
+            if header[0] > DIMACS_VAR_LIMIT:
+                raise DimacsError(f"line {lineno}: {header[0]} variables exceeds "
+                                  f"the limit of {DIMACS_VAR_LIMIT}")
             continue
         if header is None:
             raise DimacsError(f"line {lineno}: clause before header")
@@ -289,12 +288,13 @@ def from_dimacs(text: str) -> CnfFormula:
             clauses.append(current)
             current = []
         else:
-            if abs(tok) > var_count:
-                raise DimacsError(f"literal {tok} out of range 1..{var_count}")
             current.append(tok)
     if current:
         raise DimacsError("missing terminating 0 on final clause")
     if len(clauses) != clause_count:
         raise DimacsError(
             f"header claims {clause_count} clauses, found {len(clauses)}")
-    return CnfFormula(var_count, clauses, tuple(comments))
+    try:
+        return CnfFormula(var_count, clauses)
+    except ValueError as exc:  # a literal out of range
+        raise DimacsError(str(exc)) from exc

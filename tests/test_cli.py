@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,22 @@ class TestSolve:
         bad.write_text(header + "\n")
         assert main(["solve", str(bad)]) == 3
         assert "negative count" in capsys.readouterr().err
+
+    def test_var_count_above_limit(self, tmp_path, capsys):
+        # Past the header check the solver would allocate and print an
+        # entry per declared variable.
+        bad = tmp_path / "big.cnf"
+        bad.write_text(f"p cnf {sat.DIMACS_VAR_LIMIT + 1} 0\n")
+        tracemalloc.start()
+        try:
+            assert main(["solve", str(bad)]) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line 1: {sat.DIMACS_VAR_LIMIT + 1} variables exceeds" in captured.err
 
     def test_unverified_model_is_internal_error(self, machine_file, tmp_path,
                                                 capsys, monkeypatch):

@@ -29,7 +29,7 @@ MACHINES = [fixture_text(name) for name in FIXTURE_NAMES]
 MACHINE_PIECES = sorted({tok for text in MACHINES for tok in text.split()})
 FORMULAS = ["(P1 -> (P2 -> P3)) & !(P2 -> P3)", "p & q | r -> s <-> t", "!(p | q)"]
 FORMULA_PIECES = ["p", "q", "!", "&", "|", "->", "<->", "(", ")"]
-DIMACS = [to_dimacs(CnfFormula(3, [[1, -2], [2, 3], [-3]], ("x",))), "p cnf 2 0\n"]
+DIMACS = ["c x\np cnf 3 3\n1 -2 0\n2 3 0\n-3 0\n", "p cnf 2 0\n"]
 DIMACS_PIECES = ["p", "cnf", "c", "0", "1", "-1", "2", "-3"]
 
 
@@ -55,9 +55,7 @@ def cnf_formulas(draw):
     n = draw(st.integers(1, 12))
     literal = st.integers(-n, n).filter(bool)
     clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=6), max_size=12))
-    comments = draw(st.lists(st.text("abc xyz=019", max_size=12).map(str.strip),
-                             max_size=3))
-    return CnfFormula(n, clauses, tuple(comments))
+    return CnfFormula(n, clauses)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,10 +1,13 @@
 """Golden outputs of the CLI: sha256 digests of exit code, stdout and
-stderr over a fixed grid of `reduce`, `history encode`, `kim` and
-`corpus-test` calls.
+stderr over a fixed grid of `reduce`, `history encode`, `solve`,
+`verify`, `merge`, `kim`, `argue` and `corpus-test` calls.
 
-The digests were recorded before the variable-grid refactor of
-`reduction` and pin its DIMACS and JSON output byte for byte. A digest
-changes only with an intended, documented change of output.
+The `reduce`, `history encode`, `kim` and `corpus-test` digests were
+recorded before the variable-grid refactor of `reduction`; the others
+before decode stopped re-checking the model and `from_dimacs` stopped
+range-checking literals itself. They pin DIMACS, JSON and error output
+byte for byte; the work directory's path reads `{dir}` in the output. A
+digest changes only with an intended, documented change of output.
 """
 
 import contextlib
@@ -25,6 +28,20 @@ KIM_LIBRARY = (("e0_accept1", "m_accept1", "1"),
                ("e1_accept1", "m_accept1", "10"),
                ("e2_parity", "m_parity", "11"))
 KIM_BOUND = 4
+SOLVE_INPUTS = ("1", "11")
+# One DIMACS file per `DimacsError` message, each with a single fault.
+DIMACS_FAULTS = {
+    "clause-before-header": "1 0\np cnf 1 1\n",
+    "duplicate-header": "p cnf 1 1\np cnf 1 1\n1 0\n",
+    "malformed-header": "p dnf 1 1\n1 0\n",
+    "negative-count": "p cnf -1 0\n",
+    "bad-literal": "p cnf 2 1\n1 x 0\n",
+    "out-of-range": "c labels\np cnf 2 2\n1 -2 0\n-3 0\n",
+    "empty-clause": "p cnf 2 2\n1 0\n0\n",
+    "missing-terminating-0": "p cnf 2 1\n1 -2\n",
+    "count-mismatch": "p cnf 2 3\n1 0\n-2 0\n",
+    "missing-header": "c no header\n",
+}
 
 
 def _cases():
@@ -38,6 +55,18 @@ def _cases():
                         ["reduce"] + machine + ["--part", part]
                 cases[f"history-encode/{name}/y={y}/T={bound}"] = \
                     ["history", "encode"] + machine
+        for y in SOLVE_INPUTS:
+            for bound in BOUNDS:
+                cases[f"solve/{name}/y={y}/T={bound}"] = \
+                    ["solve", f"{{dir}}/{name}-{y}-{bound}.cnf"]
+                cases[f"verify/{name}/y={y}/T={bound}"] = \
+                    ["verify", "-m", f"{{dir}}/{name}.tm", "-i", y, "-T", str(bound)]
+        for other in FIXTURE_NAMES:
+            if other != name:
+                cases[f"merge/{name}/{other}"] = \
+                    ["merge", "-a", f"{{dir}}/{name}.tm", "-b", f"{{dir}}/{other}.tm"]
+    for fault in DIMACS_FAULTS:
+        cases[f"solve/fault/{fault}"] = ["solve", f"{{dir}}/{fault}.cnf"]
     for base in KIM_BASES:
         common = ["--library", "{dir}/lib", "--base", f"{{dir}}/{base}.tm",
                   "-T", str(KIM_BOUND)]
@@ -48,6 +77,8 @@ def _cases():
                 for y in INPUTS:
                     cases[f"kim-{action}/{base}/y={y}/{fmt}"] = \
                         ["kim", action] + common + ["-i", y] + flag
+    cases["argue/text"] = ["argue"]
+    cases["argue/json"] = ["argue", "--json"]
     cases["corpus-test"] = ["corpus-test"]
     return cases
 
@@ -55,6 +86,10 @@ def _cases():
 CASES = _cases()
 
 GOLDEN = {
+    "argue/json":
+        "f7b7ea5c2b6cf1520ee4235efecb5752f1f2dae40c11a27e38888150720707f7",
+    "argue/text":
+        "b3f700dd5b349fde8ab4eac6dc746d3a756297220ff1c721cd4f449d36897857",
     "corpus-test":
         "14376b0b9e4f7a923bf2bf22b5ecab7b533879d8e9e7c5a98eee110a410ae8c7",
     "history-encode/m_accept1/y=/T=2":
@@ -189,6 +224,30 @@ GOLDEN = {
         "ff92b437673a8d8d36fcbbae503939b3fd99379bc46f17128f08d01edaf1c8d7",
     "kim-run/m_parity/y=11/text":
         "2752511e532e98623f2bca137efb339cde78eee4479ce8272822b2e0ea6e465c",
+    "merge/m_accept1/m_loop":
+        "c3369dbe48bb0127994b1279b5c06fec594aa19af76c8ace54beab34a007be1c",
+    "merge/m_accept1/m_nd":
+        "4cc93986b99c0e17fba1f36421026ee128f3a9e43367d77a0edca9bfec869c61",
+    "merge/m_accept1/m_parity":
+        "40a0a5e9c22397605673fc14d23d13d6c9253cb10d04903800c300321acc75ca",
+    "merge/m_loop/m_accept1":
+        "19f0551a3a7ed07c244ac5b0a7a77780c30c73d11cdb458fde38cf315f720e42",
+    "merge/m_loop/m_nd":
+        "83f5fc7e3a6fd7be75a8ef8ec139e4b93b3ffbbd2855f4ca9a9d529ff46f0c71",
+    "merge/m_loop/m_parity":
+        "f580d2c91821eb14dc18ceee8c68f0e6f3110de85dfd389ee16e488b210ed08e",
+    "merge/m_nd/m_accept1":
+        "454337ba6bcbd1b11a456c32975b3f5dfbcab449aa150bbe002f481e1fc10eba",
+    "merge/m_nd/m_loop":
+        "bae5ac14aa38457d08e0b9dfe2fd84b0e62988f4a532a503ccecc6fcb0c74ff1",
+    "merge/m_nd/m_parity":
+        "3f0ef53d0f9d7829d70ac7e426f731746c6f6401a6c63c4db2a8a85fa55a0fff",
+    "merge/m_parity/m_accept1":
+        "b4b7183086c7be42f51be43d00f00a4c0db9fc08bf9c9c9c84d300388f6ce928",
+    "merge/m_parity/m_loop":
+        "eb6b88e8464d32775a072c968e5ef7a758d2a9759526c8705f3f7972c22e2678",
+    "merge/m_parity/m_nd":
+        "aadd83ba901bba07d41e82edf6d305cb9068e0729acd60fa24e5fb6592d560bc",
     "reduce/m_accept1/y=/T=2/all":
         "c3d10752fbc924707e38a3744d6741e0f330b76784140c43fc335c9f1a73eff5",
     "reduce/m_accept1/y=/T=2/input":
@@ -333,6 +392,90 @@ GOLDEN = {
         "6ea0be3d64a810ac0de684ee767be51b76ddfefb2d9d39cb323fd2e8ecd8c568",
     "reduce/m_parity/y=11/T=4/run":
         "397b470493012c5492e7f8dca8ec22212dc3fd9be853183e88bbef9117de260d",
+    "solve/fault/bad-literal":
+        "d198f9b938127a99db7838e885c844e8c3e46e40caf52554bf7919178dfd37e6",
+    "solve/fault/clause-before-header":
+        "1aef44a08fda0047d976b32cb870763b2f2cbbf84108ba96daf851fdff3cb43e",
+    "solve/fault/count-mismatch":
+        "b6093751432a9b2537d631b88fc5cbffc327db42ca3dd84b1d1d49cacb1f0e04",
+    "solve/fault/duplicate-header":
+        "6dacf35a0873b47ad5571d447ecd778690e10676fa59cb73fa38b3cb6c69bf22",
+    "solve/fault/empty-clause":
+        "ef6a90a870a2364c467d91d75f01729b4d9b6fca651d9e0aa2052ae84be824e0",
+    "solve/fault/malformed-header":
+        "0b59a550ace6ce075972955ac0e6034eb329c98bd92f74f9ac2d02a0f0f729a4",
+    "solve/fault/missing-header":
+        "b381cd43c5001aa826959dd2823496410cfe226c32751ba0601fc5c4537dc889",
+    "solve/fault/missing-terminating-0":
+        "fe40a5d5aec5cefcf6cbb32091a47ce05bb3bf943b746a1584a93a8feb1b1f6d",
+    "solve/fault/negative-count":
+        "6ffb709deb588dc76a59423e18e78772a02fa4ad9044c47326a0c105757cba63",
+    "solve/fault/out-of-range":
+        "014ae067ba10b31ad1f52c6276f6d86b37964ed7a359873d77a879b34b930e12",
+    "solve/m_accept1/y=1/T=2":
+        "5b2f49c7c7d43495e0a6b17d8748fb6c69491bdb3244b9d5fa8b4dee4a34e0da",
+    "solve/m_accept1/y=1/T=4":
+        "c883134dfd086b54053c7e22a8fae282a0780153ea274dd9178bae61559fadf2",
+    "solve/m_accept1/y=11/T=2":
+        "267cff7da28d7c10e8875eeef08e59dc303d0c975f81fa31f96cbf1ba03a0b01",
+    "solve/m_accept1/y=11/T=4":
+        "ae88ca321c259e6040cf527b45e3cd2aef2882b12b630e501d419516dcd5076c",
+    "solve/m_loop/y=1/T=2":
+        "1e2e4d4d2a6bc22f367b038cbc16d6e24484eaa6d4ca808fbbb6db831f4fc5c6",
+    "solve/m_loop/y=1/T=4":
+        "1e2e4d4d2a6bc22f367b038cbc16d6e24484eaa6d4ca808fbbb6db831f4fc5c6",
+    "solve/m_loop/y=11/T=2":
+        "1e2e4d4d2a6bc22f367b038cbc16d6e24484eaa6d4ca808fbbb6db831f4fc5c6",
+    "solve/m_loop/y=11/T=4":
+        "1e2e4d4d2a6bc22f367b038cbc16d6e24484eaa6d4ca808fbbb6db831f4fc5c6",
+    "solve/m_nd/y=1/T=2":
+        "66a2d246eceb354775c1d78923268499bc87db786f44eb7cb5a9e504aeb4593d",
+    "solve/m_nd/y=1/T=4":
+        "cd9e92af7f9aa9040324dab1459dc5f05d73fc1a02a20eab5594869d23db5fd4",
+    "solve/m_nd/y=11/T=2":
+        "5e286233a1e4895c5cc2a6c664032d020acb30b9f4eab53859ffc2cfcac92850",
+    "solve/m_nd/y=11/T=4":
+        "2c5c71a7b9add15bb29944fb7fc463b931d7f156619ca0499bc26d50316bdef2",
+    "solve/m_parity/y=1/T=2":
+        "1e2e4d4d2a6bc22f367b038cbc16d6e24484eaa6d4ca808fbbb6db831f4fc5c6",
+    "solve/m_parity/y=1/T=4":
+        "1e2e4d4d2a6bc22f367b038cbc16d6e24484eaa6d4ca808fbbb6db831f4fc5c6",
+    "solve/m_parity/y=11/T=2":
+        "1e2e4d4d2a6bc22f367b038cbc16d6e24484eaa6d4ca808fbbb6db831f4fc5c6",
+    "solve/m_parity/y=11/T=4":
+        "1fb982d6047752effc2abd1463d6112d75c87b0b6ff36a9a19efe90bf4afe781",
+    "verify/m_accept1/y=1/T=2":
+        "3c99b7a7cfbb972279c8cd600083162406ab5f88e78915be65cfc635dbdcb326",
+    "verify/m_accept1/y=1/T=4":
+        "3c99b7a7cfbb972279c8cd600083162406ab5f88e78915be65cfc635dbdcb326",
+    "verify/m_accept1/y=11/T=2":
+        "3c99b7a7cfbb972279c8cd600083162406ab5f88e78915be65cfc635dbdcb326",
+    "verify/m_accept1/y=11/T=4":
+        "3c99b7a7cfbb972279c8cd600083162406ab5f88e78915be65cfc635dbdcb326",
+    "verify/m_loop/y=1/T=2":
+        "6cea75ade0d1d93a5113d22d3edc96cde90817250ea7f1d24cc75ea8b1aa7f7f",
+    "verify/m_loop/y=1/T=4":
+        "6cea75ade0d1d93a5113d22d3edc96cde90817250ea7f1d24cc75ea8b1aa7f7f",
+    "verify/m_loop/y=11/T=2":
+        "6cea75ade0d1d93a5113d22d3edc96cde90817250ea7f1d24cc75ea8b1aa7f7f",
+    "verify/m_loop/y=11/T=4":
+        "6cea75ade0d1d93a5113d22d3edc96cde90817250ea7f1d24cc75ea8b1aa7f7f",
+    "verify/m_nd/y=1/T=2":
+        "3c99b7a7cfbb972279c8cd600083162406ab5f88e78915be65cfc635dbdcb326",
+    "verify/m_nd/y=1/T=4":
+        "3c99b7a7cfbb972279c8cd600083162406ab5f88e78915be65cfc635dbdcb326",
+    "verify/m_nd/y=11/T=2":
+        "3c99b7a7cfbb972279c8cd600083162406ab5f88e78915be65cfc635dbdcb326",
+    "verify/m_nd/y=11/T=4":
+        "3c99b7a7cfbb972279c8cd600083162406ab5f88e78915be65cfc635dbdcb326",
+    "verify/m_parity/y=1/T=2":
+        "6cea75ade0d1d93a5113d22d3edc96cde90817250ea7f1d24cc75ea8b1aa7f7f",
+    "verify/m_parity/y=1/T=4":
+        "6cea75ade0d1d93a5113d22d3edc96cde90817250ea7f1d24cc75ea8b1aa7f7f",
+    "verify/m_parity/y=11/T=2":
+        "6cea75ade0d1d93a5113d22d3edc96cde90817250ea7f1d24cc75ea8b1aa7f7f",
+    "verify/m_parity/y=11/T=4":
+        "3c99b7a7cfbb972279c8cd600083162406ab5f88e78915be65cfc635dbdcb326",
 }
 
 
@@ -341,6 +484,13 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     for name in FIXTURE_NAMES:
         (root / f"{name}.tm").write_text(fixture_text(name))
+        for y in SOLVE_INPUTS:
+            for bound in BOUNDS:
+                cnf = root / f"{name}-{y}-{bound}.cnf"
+                assert main(["reduce", "-m", str(root / f"{name}.tm"), "-i", y,
+                             "-T", str(bound), "-o", str(cnf)]) == 0
+    for fault, text in DIMACS_FAULTS.items():
+        (root / f"{fault}.cnf").write_text(text)
     lib = root / "lib"
     lib.mkdir()
     for entry, fixture, y in KIM_LIBRARY:
@@ -349,12 +499,13 @@ def workdir(tmp_path_factory):
     return str(root)
 
 
-def run_digest(argv):
-    """sha256 over the exit code, stdout and stderr of one CLI call."""
+def run_digest(argv, workdir):
+    """sha256 over the exit code, stdout and stderr of one CLI call, with
+    the work directory's path written as `{dir}`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    text = f"{code}\n{out.getvalue()}\0{err.getvalue()}"
+        code = main([arg.replace("{dir}", workdir) for arg in argv])
+    text = f"{code}\n{out.getvalue()}\0{err.getvalue()}".replace(workdir, "{dir}")
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -364,5 +515,4 @@ def test_golden_covers_every_case():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case, workdir):
-    argv = [arg.replace("{dir}", workdir) for arg in CASES[case]]
-    assert run_digest(argv) == GOLDEN[case]
+    assert run_digest(CASES[case], workdir) == GOLDEN[case]

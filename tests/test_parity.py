@@ -102,8 +102,9 @@ class TestRun:
 
 
 class TestSharedRunParts:
-    """Entries whose machines differ at most in name share one run part,
-    solved once per input, with per-instance results unchanged."""
+    """Entries whose machines differ at most in name, start state, blank,
+    input alphabet or reject state share one run part, solved once per
+    input, with per-instance results unchanged."""
 
     @staticmethod
     def corpus_library():
@@ -158,6 +159,27 @@ class TestSharedRunParts:
             report = run_parity_machine(pm, y)
             assert len(calls) == 2
             assert len(report.instances) == 5
+
+    def test_start_and_input_alphabet_do_not_split_run_parts(self, monkeypatch):
+        # The three machines differ only in start state or input alphabet,
+        # which enter G4 alone, so their run parts are equal.
+        rules = ("q0 1 -> qacc 1 R", "q1 1 -> qacc 1 R")
+        machines = [grid_machine("a", rules=rules),
+                    grid_machine("b", start="q1", rules=rules),
+                    grid_machine("c", inputs="1", rules=rules)]
+        entries = [(m, witness(m, "1")) for m in machines]
+        shared = build_parity_machine(entries, 4, machines[0])
+        assert len({id(entry) for entry in shared.library}) == 1
+        per_entry = [run_part(encode_history(m, h, 4)[0]) for m, h in entries]
+        direct = ParityMachine(per_entry, machines[0], 4, ())
+        calls = []
+        solve = parity.solve_dpll
+        monkeypatch.setattr(parity, "solve_dpll", lambda f: calls.append(f) or solve(f))
+        for y in ("0", "1"):
+            calls.clear()
+            report = run_parity_machine(shared, y)
+            assert len(calls) == 1
+            assert report_to_dict(report) == report_to_dict(run_parity_machine(direct, y))
 
     @staticmethod
     def bad_history(kind, m_accept1, m_parity):

@@ -208,15 +208,23 @@ class TestDecode:
         f2, induced = encode_history(m_parity, h, 4)
         assert check_model(to_cnf(f2), induced)
 
-    def test_malformed_model_rejected(self, m_accept1):
+    @pytest.mark.parametrize("edit", ["two-states", "two-heads", "two-symbols",
+                                      "no-state"])
+    def test_malformed_model_rejected(self, m_accept1, edit):
+        # Every edit hits a row decode reads: the model accepts at time 1,
+        # and the head stands on cell 1 then.
         f = reduce_machine(m_accept1, "1", 1)
-        result = solve_dpll(to_cnf(f))
-        broken = dict(result.assignment)
-        # force a second state variable true at time 0
-        for k in f.grid.states:
-            if not broken[f.grid.q[(0, k)]]:
-                broken[f.grid.q[(0, k)]] = True
-                break
+        g = f.grid
+        broken = dict(solve_dpll(to_cnf(f)).assignment)
+        if edit == "two-states":
+            broken[g.q[(0, "qrej")]] = True
+        elif edit == "two-heads":
+            broken[g.h[(1, 0)]] = True
+        elif edit == "two-symbols":
+            broken[g.s[(1, 1, "0")]] = True
+        else:
+            for k in g.states:
+                broken[g.q[(1, k)]] = False
         with pytest.raises(MalformedModelError):
             decode_assignment(f, broken)
 

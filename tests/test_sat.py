@@ -6,6 +6,7 @@ from tmsatlab.corpus import check_solver_agreement
 from tmsatlab.machine import accepts_within
 from tmsatlab.reduction import reduce_machine
 from tmsatlab.sat import (
+    DIMACS_VAR_LIMIT,
     BruteForceGuardError,
     CnfFormula,
     DimacsError,
@@ -86,13 +87,6 @@ class TestDimacs:
         assert back.var_count == f.var_count
         assert sorted(map(sorted, back.clauses)) == sorted(map(sorted, f.clauses))
 
-    def test_labeled_round_trip_keeps_comments(self, m_accept1):
-        f = reduce_machine(m_accept1, "1", 1)
-        back = from_dimacs(to_dimacs(f))
-        assert len(back.clauses) == f.clause_count
-        assert any(c.startswith("var 1 =") for c in back.comments)
-        assert any("group G4" in c for c in back.comments)
-
     def test_clause_count_mismatch(self):
         with pytest.raises(DimacsError):
             from_dimacs("p cnf 2 3\n1 0\n-2 0\n")
@@ -112,3 +106,11 @@ class TestDimacs:
     def test_missing_header(self):
         with pytest.raises(DimacsError):
             from_dimacs("1 0\n")
+
+    def test_var_count_above_limit(self):
+        with pytest.raises(DimacsError, match=f"line 2: {DIMACS_VAR_LIMIT + 1} variables"):
+            from_dimacs(f"c big\np cnf {DIMACS_VAR_LIMIT + 1} 0\n")
+
+    def test_var_count_at_limit(self):
+        f = from_dimacs(f"p cnf {DIMACS_VAR_LIMIT} 0\n")
+        assert (f.var_count, f.clauses) == (DIMACS_VAR_LIMIT, [])
