@@ -29,7 +29,7 @@ from .reduction import (
     reduce_machine,
     run_part,
 )
-from .sat import DimacsError, SatError, from_dimacs, solve_dpll, to_dimacs
+from .sat import DimacsError, SatError, from_dimacs, solve_dpll, to_cnf, to_dimacs
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -97,7 +97,6 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     m = _load_machine(args.machine)
     accepted, _ = accepts_within(m, args.input, args.bound)
-    from .sat import to_cnf
     result = solve_dpll(to_cnf(reduce_machine(m, args.input, args.bound)))
     oracle = "accept" if accepted else "reject"
     verdict = "SAT" if result.satisfiable else "UNSAT"

@@ -25,6 +25,9 @@ from .machine import (
 GROUPS = ("G1", "G2", "G3", "G4", "G5", "G6")
 INPUT_GROUP = "G4"
 PAD = "PAD"
+# About 8x the benchmark's largest reduction (119,893 clauses, m_parity
+# at T=48); m_parity at T=1000 would need 527,049,513.
+REDUCTION_CLAUSE_LIMIT = 1_000_000
 
 
 class ReductionError(Exception):
@@ -154,10 +157,31 @@ def _check_input(m: Machine, input_str: str, bound: int):
             raise ReductionError(f"input symbol {ch!r} not in input alphabet")
 
 
+def reduction_clause_count(m: Machine, bound: int) -> int:
+    """The number of clauses `reduce_machine` builds for m at `bound` on
+    any input, in closed form, group by group."""
+    T, q, s, r = bound, len(m.states), len(m.tape_alphabet), len(m.rules())
+
+    def exactly_one(k: int) -> int:
+        return 1 + k * (k - 1) // 2
+
+    return ((T + 1) * exactly_one(q)                                  # G1
+            + (T + 1) * exactly_one(T + 1)                            # G2
+            + (T + 1) ** 2 * exactly_one(s)                           # G3
+            + T + 3                                                   # G4
+            + 1                                                       # G5
+            + T * (3 + r * (2 + 3 * (T + 1)) + (T + 1) * (1 + 2 * s)))  # G6
+
+
 def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
     """The reduction: satisfiable iff m accepts input_str within `bound`
-    transitions."""
+    transitions. Refuses, before building anything, a reduction of more
+    than REDUCTION_CLAUSE_LIMIT clauses."""
     _check_input(m, input_str, bound)
+    size = reduction_clause_count(m, bound)
+    if size > REDUCTION_CLAUSE_LIMIT:
+        raise ReductionError(f"{size} clauses at bound {bound} exceeds the limit "
+                             f"of {REDUCTION_CLAUSE_LIMIT}")
     g = _Grid(m, bound)
     T = bound
     clauses: List[Clause] = []

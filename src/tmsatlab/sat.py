@@ -16,6 +16,9 @@ BRUTE_FORCE_VAR_LIMIT = 24
 # The solver allocates per declared variable; the benchmark's largest
 # reduction has 10,039.
 DIMACS_VAR_LIMIT = 200_000
+# Lines that the bulk DIMACS read joins for one `int` pass: the token
+# strings of one run are held at once, not those of the whole text.
+_BULK_LINES = 4096
 
 
 class SatError(Exception):
@@ -66,9 +69,11 @@ def to_cnf(f: LabeledFormula) -> CnfFormula:
 
 
 def check_model(f: CnfFormula, assignment: Dict[int, bool]) -> bool:
-    return all(
-        any(assignment.get(abs(lit)) == (lit > 0) for lit in clause)
-        for clause in f.clauses)
+    """Whether every clause has a literal `lit` with
+    `assignment.get(abs(lit)) == (lit > 0)`."""
+    true = {lit for v, x in assignment.items() if v >= 0
+            for lit in (v, -v) if x == (lit > 0)}
+    return not any(map(true.isdisjoint, f.clauses))
 
 
 def _verified(f: CnfFormula, assignment: Dict[int, bool]) -> SolveResult:
@@ -82,32 +87,28 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     """DPLL with unit propagation and chronological backtracking.
 
     Deterministic: branches on the lowest-index unassigned variable,
-    trying true first.
+    trying true first, so the first model found is the lexicographically
+    greatest one (variable 1 most significant, true above false).
     """
     n = f.var_count
-    clauses: List[List[int]] = []
-    for clause in f.clauses:
-        seen = list(dict.fromkeys(clause))
-        if any(-lit in seen for lit in seen):
-            continue  # tautology, always satisfied
-        clauses.append(seen)
-
-    assign: List[Optional[bool]] = [None] * (n + 1)
-    trail: List[int] = []
-    watches: Dict[int, List[int]] = {}
+    # val[lit] (True, False or None for unassigned) and watches[lit] are
+    # indexed by the literal itself: -v wraps into the upper half.
+    val: List[Optional[bool]] = [None] * (2 * n + 1)
+    watches: List[List[List[int]]] = [[] for _ in range(2 * n + 1)]
     units: List[int] = []
-    for ci, clause in enumerate(clauses):
+    for clause in f.clauses:
+        if len(set(map(abs, clause))) == len(clause):
+            clause = list(clause)
+        else:
+            clause = list(dict.fromkeys(clause))
+            if any(-lit in clause for lit in clause):
+                continue  # tautology, always satisfied
         if len(clause) == 1:
             units.append(clause[0])
         else:
-            for lit in clause[:2]:
-                watches.setdefault(lit, []).append(ci)
-
-    def lit_value(lit: int) -> Optional[bool]:
-        v = assign[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+            watches[clause[0]].append(clause)
+            watches[clause[1]].append(clause)
+    trail: List[int] = []
 
     def propagate(pending: List[int]) -> bool:
         """Make each pending literal true and propagate; False on conflict."""
@@ -115,48 +116,48 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
         while qi < len(pending):
             lit = pending[qi]
             qi += 1
-            val = lit_value(lit)
-            if val is True:
-                continue
-            if val is False:
+            if val[lit] is not None:
+                if val[lit]:
+                    continue
                 return False
-            assign[abs(lit)] = lit > 0
-            trail.append(abs(lit))
+            val[lit] = True
+            val[-lit] = False
+            trail.append(lit)
             neg = -lit
-            watchers = watches.get(neg, [])
-            kept: List[int] = []
-            for pos, ci in enumerate(watchers):
-                clause = clauses[ci]
+            watchers = watches[neg]
+            kept: List[List[int]] = []
+            for pos, clause in enumerate(watchers):
                 # Keep the two watched literals in the first two slots.
                 if clause[0] == neg:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0] = clause[1]
+                    clause[1] = neg
                 other = clause[0]
-                if lit_value(other) is True:
-                    kept.append(ci)
+                if val[other]:
+                    kept.append(clause)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if lit_value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        watches.setdefault(clause[1], []).append(ci)
-                        moved = True
+                    lk = clause[k]
+                    if val[lk] is not False:
+                        clause[1] = lk
+                        clause[k] = neg
+                        watches[lk].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if lit_value(other) is False:
-                    kept.extend(watchers[pos + 1:])
-                    watches[neg] = kept
-                    return False
-                pending.append(other)
+                else:
+                    kept.append(clause)
+                    if val[other] is False:
+                        kept.extend(watchers[pos + 1:])
+                        watches[neg] = kept
+                        return False
+                    pending.append(other)
             watches[neg] = kept
         return True
 
     def backtrack_to(mark: int):
-        while len(trail) > mark:
-            assign[trail.pop()] = None
+        for lit in trail[mark:]:
+            val[lit] = val[-lit] = None
+        del trail[mark:]
 
-    if not propagate(list(units)):
+    if not propagate(units):
         return SolveResult.unsat()
 
     # Decision stack entries: (trail length before the decision, var, flipped).
@@ -166,11 +167,10 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     # everything assigned before it, so the scan restarts at dvar.
     var = 1
     while True:
-        while var <= n and assign[var] is not None:
+        while var <= n and val[var] is not None:
             var += 1
         if var > n:
-            model = {v: bool(assign[v]) for v in range(1, n + 1)}
-            return _verified(f, model)
+            return _verified(f, dict(zip(range(1, n + 1), val[1:n + 1])))
         stack.append((len(trail), var, False))
         ok = propagate([var])
         while not ok:
@@ -238,47 +238,22 @@ def to_dimacs(f) -> str:
         lines.append(f"p cnf {f.var_count} {f.clause_count}")
         for idx, clause in enumerate(f.clauses, start=1):
             lines.append(f"c clause {idx} group {clause.group}")
-            lines.append(" ".join(str(lit) for lit in clause.literals) + " 0")
+            lines.append(" ".join(map(str, clause.literals)) + " 0")
     else:
         lines.append(f"p cnf {f.var_count} {len(f.clauses)}")
         for clause in f.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
+            lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 
 def from_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF text of at most DIMACS_VAR_LIMIT variables."""
-    header: Optional[Tuple[int, int]] = None
-    tokens: List[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if header is not None:
-                raise DimacsError(f"line {lineno}: duplicate header")
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"line {lineno}: malformed header {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise DimacsError(f"line {lineno}: malformed header {line!r}")
-            if min(header) < 0:
-                raise DimacsError(f"line {lineno}: negative count in header {line!r}")
-            if header[0] > DIMACS_VAR_LIMIT:
-                raise DimacsError(f"line {lineno}: {header[0]} variables exceeds "
-                                  f"the limit of {DIMACS_VAR_LIMIT}")
-            continue
-        if header is None:
-            raise DimacsError(f"line {lineno}: clause before header")
-        try:
-            tokens.extend(int(tok) for tok in line.split())
-        except ValueError:
-            raise DimacsError(f"line {lineno}: bad literal in {line!r}")
-    if header is None:
-        raise DimacsError("missing 'p cnf' header")
-    var_count, clause_count = header
+    """Parse DIMACS CNF text of at most DIMACS_VAR_LIMIT variables.
+
+    A text whose first non-comment line is a valid header and whose later
+    lines hold only integers and comments is scanned in bulk. Any other
+    text has a fault, and the line-by-line scan names it.
+    """
+    (var_count, clause_count), tokens = _scan_bulk(text) or _scan_lines(text)
     clauses: List[List[int]] = []
     current: List[int] = []
     for tok in tokens:
@@ -298,3 +273,75 @@ def from_dimacs(text: str) -> CnfFormula:
         return CnfFormula(var_count, clauses)
     except ValueError as exc:  # a literal out of range
         raise DimacsError(str(exc)) from exc
+
+
+def _header(line: str, lineno: int) -> Tuple[int, int]:
+    """(variables, clauses) of a stripped line that starts with "p"."""
+    parts = line.split()
+    if len(parts) != 4 or parts[1] != "cnf":
+        raise DimacsError(f"line {lineno}: malformed header {line!r}")
+    try:
+        header = (int(parts[2]), int(parts[3]))
+    except ValueError:
+        raise DimacsError(f"line {lineno}: malformed header {line!r}")
+    if min(header) < 0:
+        raise DimacsError(f"line {lineno}: negative count in header {line!r}")
+    if header[0] > DIMACS_VAR_LIMIT:
+        raise DimacsError(f"line {lineno}: {header[0]} variables exceeds "
+                          f"the limit of {DIMACS_VAR_LIMIT}")
+    return header
+
+
+def _scan_bulk(text: str) -> Optional[Tuple[Tuple[int, int], List[int]]]:
+    """The header and literal tokens of a text whose first non-comment
+    line is a valid header and whose later non-comment lines hold only
+    integers, converted by `int` over joined runs of lines; None for any
+    other text, whose fault `_scan_lines` names."""
+    lines = text.splitlines()
+    for at, line in enumerate(lines):
+        line = line.strip()
+        if line and not line.startswith("c"):
+            break
+    else:
+        return None
+    if not line.startswith("p"):
+        return None
+    try:
+        header = _header(line, at + 1)
+    except DimacsError:
+        return None
+    body = [raw for raw in lines[at + 1:] if not raw.lstrip().startswith("c")]
+    del lines
+    tokens: List[int] = []
+    try:
+        # A second header fails here too: its first token is no integer.
+        for i in range(0, len(body), _BULK_LINES):
+            tokens += map(int, " ".join(body[i:i + _BULK_LINES]).split())
+    except ValueError:
+        return None
+    return header, tokens
+
+
+def _scan_lines(text: str) -> Tuple[Tuple[int, int], List[int]]:
+    """The header and literal tokens, read line by line; raises
+    DimacsError naming the first line at fault."""
+    header: Optional[Tuple[int, int]] = None
+    tokens: List[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if header is not None:
+                raise DimacsError(f"line {lineno}: duplicate header")
+            header = _header(line, lineno)
+            continue
+        if header is None:
+            raise DimacsError(f"line {lineno}: clause before header")
+        try:
+            tokens.extend(int(tok) for tok in line.split())
+        except ValueError:
+            raise DimacsError(f"line {lineno}: bad literal in {line!r}")
+    if header is None:
+        raise DimacsError("missing 'p cnf' header")
+    return header, tokens

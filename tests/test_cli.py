@@ -7,7 +7,7 @@ import pytest
 from tmsatlab import parity, sat
 from tmsatlab.cli import main
 from tmsatlab.fixtures import fixture_text
-from tmsatlab.reduction import input_part
+from tmsatlab.reduction import REDUCTION_CLAUSE_LIMIT, input_part
 
 
 @pytest.fixture()
@@ -50,6 +50,11 @@ class TestReduce:
         assert main(command + ["-m", machine_file, "-i", "1", "-T", "1",
                                "-o", str(out_path)]) == 3
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["reduce"], ["verify"], ["history", "encode"]])
+    def test_reduction_over_clause_limit(self, machine_file, capsys, command):
+        assert main([*command, "-m", machine_file, "-i", "1", "-T", "1000"]) == 2
+        assert f"exceeds the limit of {REDUCTION_CLAUSE_LIMIT}" in capsys.readouterr().err
 
     def test_missing_machine_file(self, tmp_path):
         assert main(["reduce", "-m", str(tmp_path / "nope.tm"),

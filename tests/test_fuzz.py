@@ -1,5 +1,5 @@
 """Fuzzing of the three text parsers: each raises only its declared error,
-and DIMACS text survives a round trip."""
+DIMACS text survives a round trip, and the two DIMACS scans agree."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from tmsatlab.argument import FormulaSyntaxError, parse_formula
 from tmsatlab.fixtures import FIXTURE_NAMES, fixture_text
 from tmsatlab.machine import MachineError, parse_machine
-from tmsatlab.sat import CnfFormula, DimacsError, from_dimacs, to_dimacs
+from tmsatlab.sat import (
+    CnfFormula,
+    DimacsError,
+    _scan_bulk,
+    _scan_lines,
+    from_dimacs,
+    to_dimacs,
+)
 
 
 @st.composite
@@ -29,7 +36,14 @@ MACHINES = [fixture_text(name) for name in FIXTURE_NAMES]
 MACHINE_PIECES = sorted({tok for text in MACHINES for tok in text.split()})
 FORMULAS = ["(P1 -> (P2 -> P3)) & !(P2 -> P3)", "p & q | r -> s <-> t", "!(p | q)"]
 FORMULA_PIECES = ["p", "q", "!", "&", "|", "->", "<->", "(", ")"]
-DIMACS = ["c x\np cnf 3 3\n1 -2 0\n2 3 0\n-3 0\n", "p cnf 2 0\n"]
+DIMACS = [
+    "c x\np cnf 3 3\n1 -2 0\n2 3 0\n-3 0\n",
+    "p cnf 2 0\n",
+    "p cnf 3 2\n1 -2 0 2 3 0\n",          # two clauses on one line
+    "p cnf 3 1\n1 -2\n3 0\n",              # one clause over two lines
+    "\np cnf 2 2\n\n-1 2 0\n\n1 0\n\n",    # blank lines
+    "  c x\np cnf 2 1\n\t c y\n-1 0\n",    # comment lines with leading whitespace
+]
 DIMACS_PIECES = ["p", "cnf", "c", "0", "1", "-1", "2", "-3"]
 
 
@@ -48,6 +62,18 @@ def test_parser_raises_only_its_declared_error(parse, error, valid, pieces, sep)
             pass
 
     check()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited(DIMACS, DIMACS_PIECES, "\n"))
+def test_dimacs_bulk_scan_agrees_with_line_scan(text):
+    # The bulk scan reads every text the line-by-line scan reads, the
+    # same way, and declines every text that scan refuses.
+    try:
+        by_line = _scan_lines(text)
+    except DimacsError:
+        by_line = None
+    assert _scan_bulk(text) == by_line
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from tmsatlab.machine import (
     initial_configuration,
 )
 from tmsatlab.reduction import (
+    REDUCTION_CLAUSE_LIMIT,
     GridIncompatibleError,
     MalformedModelError,
     ReductionError,
@@ -19,6 +21,7 @@ from tmsatlab.reduction import (
     encode_history,
     input_part,
     reduce_machine,
+    reduction_clause_count,
     run_part,
 )
 from tmsatlab.sat import CnfFormula, check_model, solve_dpll, to_cnf
@@ -46,6 +49,20 @@ class TestReduce:
     def test_bound_must_be_positive(self, m_accept1):
         with pytest.raises(ValueError):
             reduce_machine(m_accept1, "1", 0)
+
+    @pytest.mark.parametrize("bound", [1, 2, 5, 16])
+    def test_clause_count_in_closed_form(self, fixture_set, bound):
+        for m in fixture_set:
+            assert reduction_clause_count(m, bound) == reduce_machine(m, "", bound).clause_count
+
+    def test_clause_limit_refuses_before_building(self, m_parity):
+        assert reduction_clause_count(m_parity, 48) == 119_893
+        assert reduction_clause_count(m_parity, 1000) == 527_049_513
+        start = time.monotonic()
+        with pytest.raises(ReductionError, match=f"527049513 clauses at bound 1000 "
+                                                 f"exceeds the limit of {REDUCTION_CLAUSE_LIMIT}"):
+            reduce_machine(m_parity, "0", 1000)
+        assert time.monotonic() - start < 1.0
 
     def test_deterministic_output(self, m_parity):
         from tmsatlab.sat import to_dimacs

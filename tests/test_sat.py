@@ -1,6 +1,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmsatlab.corpus import check_solver_agreement
 from tmsatlab.machine import accepts_within
@@ -10,6 +12,8 @@ from tmsatlab.sat import (
     BruteForceGuardError,
     CnfFormula,
     DimacsError,
+    _scan_bulk,
+    _scan_lines,
     check_model,
     from_dimacs,
     solve_bruteforce,
@@ -51,6 +55,48 @@ class TestDpll:
         assert result.satisfiable and check_model(f, result.assignment)
 
 
+@st.composite
+def small_cnfs(draw):
+    """At most 12 variables and 40 clauses of 1 to 3 literals; the
+    clause count is drawn first, so about half the draws are
+    unsatisfiable."""
+    n = draw(st.integers(1, 12))
+    literal = st.integers(-n, n).filter(bool)
+    k = draw(st.integers(0, 40))
+    return CnfFormula(n, draw(st.lists(st.lists(literal, min_size=1, max_size=3),
+                                       min_size=k, max_size=k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_cnfs())
+def test_dpll_model_is_the_lexicographically_greatest(f):
+    # The greatest model (variable 1 most significant, true above false)
+    # is the complement of the brute-force oracle's first model of the
+    # formula with every literal negated.
+    result = solve_dpll(f)
+    assert result.satisfiable == solve_bruteforce(f).satisfiable
+    if result.satisfiable:
+        flipped = CnfFormula(f.var_count, [[-lit for lit in c] for c in f.clauses])
+        first = solve_bruteforce(flipped).assignment
+        assert result.assignment == {v: not x for v, x in first.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_check_model_matches_clause_by_clause_reference(data):
+    f = data.draw(small_cnfs())
+    # A model, when there is one, with a few keys edited: removed, set to
+    # a non-bool, or added as 0, a negative key or a key above var_count.
+    edits = data.draw(st.dictionaries(
+        st.integers(-2, f.var_count + 2),
+        st.sampled_from([True, False, None, 0, 1, 2, "remove"]), max_size=4))
+    assignment = {**(solve_dpll(f).assignment or {}), **edits}
+    assignment = {v: x for v, x in assignment.items() if x != "remove"}
+    reference = all(any(assignment.get(abs(lit)) == (lit > 0) for lit in clause)
+                    for clause in f.clauses)
+    assert check_model(f, assignment) == reference
+
+
 class TestBruteForce:
     def test_empty_clause_list_all_false(self):
         result = solve_bruteforce(CnfFormula(2, []))
@@ -86,6 +132,11 @@ class TestDimacs:
         back = from_dimacs(to_dimacs(f))
         assert back.var_count == f.var_count
         assert sorted(map(sorted, back.clauses)) == sorted(map(sorted, f.clauses))
+
+    def test_labeled_text_is_read_in_bulk(self, m_accept1):
+        text = to_dimacs(reduce_machine(m_accept1, "1", 2))
+        assert _scan_bulk(text) is not None
+        assert _scan_bulk(text) == _scan_lines(text)
 
     def test_clause_count_mismatch(self):
         with pytest.raises(DimacsError):
