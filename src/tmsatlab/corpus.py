@@ -24,7 +24,9 @@ from .machine import (
     extract_particular_table,
     initial_configuration,
     is_deterministic,
+    merge_suffix,
     merge_tables,
+    rename_history,
     table_generates,
 )
 from .reduction import (
@@ -154,7 +156,8 @@ def check_particular_tables(histories: Sequence[History]) -> Tuple[int, int]:
 
 
 def check_merge(histories: Sequence[History]) -> Tuple[int, int]:
-    """Every ordered pair of distinct histories."""
+    """Every ordered pair (a, b) of distinct histories: the merged table
+    generates a's history and b's with its states renamed as merging did."""
     tables = [(extract_particular_table(h, m), h) for m, h in histories]
     good = total = 0
     for ia, (ta, ha) in enumerate(tables):
@@ -163,14 +166,16 @@ def check_merge(histories: Sequence[History]) -> Tuple[int, int]:
             if ia == ib:
                 continue
             merged = merge_tables(ta, tb, ha.configs[0].state, hb.configs[0].state)
+            states_b = tb.states() | {hb.configs[0].state}
+            renamed_hb = rename_history(hb, merge_suffix(states_a, states_b))
             total += 1
             renamed_b = merged.states() - states_a - {merged.selector_state}
-            good += (table_generates(merged, ha)
-                     and table_generates(merged, hb)
+            good += (merged.selector == (ha.configs[0].state, renamed_hb.configs[0].state)
+                     and table_generates(merged, ha)
+                     and table_generates(merged, renamed_hb)
                      and not is_deterministic(merged)
-                     and merged.selector is not None and len(merged.selector) == 2
                      and merged.states() > states_a
-                     and len(renamed_b) == len(tb.states() | {hb.configs[0].state})
+                     and len(renamed_b) == len(states_b)
                      and merged != ta and merged != tb)
     return good, total
 

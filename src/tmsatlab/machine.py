@@ -18,6 +18,10 @@ MOVES = (LEFT, RIGHT, STAY)
 # (next state, write symbol, move)
 Target = Tuple[str, str, str]
 RuleKey = Tuple[str, str]
+# About 3,000x the benchmark's largest oracle search (33 configurations,
+# m_loop at T=32). A machine that writes 0 or 1 on each new cell reaches
+# it at T=16, in about 48 MiB peak; its search at T=24 would need gigabytes.
+ORACLE_CONFIG_LIMIT = 100_000
 
 
 class MachineError(Exception):
@@ -36,6 +40,11 @@ class MachineSemanticError(MachineError):
     """Well-formed text that violates a machine invariant."""
 
 
+class OracleLimitError(MachineError):
+    """A bounded search that would visit more than ORACLE_CONFIG_LIMIT
+    configurations."""
+
+
 class IllegalHistoryError(MachineError):
     """A configuration pair not licensed by any rule of the machine."""
 
@@ -49,14 +58,13 @@ class TransitionTable:
     """Map from (state, symbol) to target triples, in declaration order.
 
     A merged table additionally carries a fresh selector state whose two
-    targets choose between the retained branch sub-tables before the
-    first tape read.
+    targets, the start states of its two halves, choose between them
+    before the first tape read.
     """
 
     entries: Dict[RuleKey, Tuple[Target, ...]] = field(default_factory=dict)
     selector: Optional[Tuple[str, str]] = None
     selector_state: Optional[str] = None
-    branches: Optional[Tuple["TransitionTable", "TransitionTable"]] = None
 
     def rules(self) -> List[Tuple[str, str, str, str, str]]:
         """Flatten to (state, symbol, next, write, move) in declaration order."""
@@ -321,6 +329,9 @@ def accepts_within(m: Machine, input_str: str, bound: int):
     configuration on the first shortest accepting path is first reached
     along that path's own prefix, and a configuration already reached at
     an earlier level cannot lie on a shortest accepting path.
+
+    Raises OracleLimitError instead of visiting more than
+    ORACLE_CONFIG_LIMIT configurations.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -341,6 +352,10 @@ def accepts_within(m: Machine, input_str: str, bound: int):
                     while parent[configs[-1]] is not None:
                         configs.append(parent[configs[-1]])
                     return True, ComputationHistory(tuple(reversed(configs)), input_str)
+                if len(parent) > ORACLE_CONFIG_LIMIT:
+                    raise OracleLimitError(
+                        f"search exceeds the oracle's limit of {ORACLE_CONFIG_LIMIT} "
+                        f"configurations (ORACLE_CONFIG_LIMIT) at bound {bound}")
                 nxt.append(nc)
         frontier = nxt
         if not frontier:
@@ -397,16 +412,22 @@ def used_rule_indices(h: ComputationHistory, m: Machine) -> List[int]:
 def table_generates(t: TransitionTable, h: ComputationHistory) -> bool:
     """True iff every consecutive pair of h is licensed by some triple of t.
 
-    A merged table licenses h iff one of its branch sub-tables does. A
-    right move off the end extends the tape with a blank, which a bare
+    A right move off the end extends the tape with a blank, which a bare
     table cannot name, so the blank is taken to be whatever the tape grew
     by.
     """
-    if t.branches is not None:
-        return any(table_generates(branch, h) for branch in t.branches)
     return all(
         _licensing(t, c1, c2, c2.tape[-1]) is not None
         for c1, c2 in zip(h.configs, h.configs[1:]))
+
+
+def merge_suffix(states_a: set, states_b: set) -> str:
+    """The primes `merge_tables` appends to each of the second table's
+    states: the fewest that keep them apart from the first's."""
+    suffix = "'"
+    while {s + suffix for s in states_b} & states_a:
+        suffix += "'"
+    return suffix
 
 
 def _rename_table(t: TransitionTable, suffix: str) -> Dict[RuleKey, Tuple[Target, ...]]:
@@ -417,29 +438,26 @@ def _rename_table(t: TransitionTable, suffix: str) -> Dict[RuleKey, Tuple[Target
     }
 
 
+def rename_history(h: ComputationHistory, suffix: str) -> ComputationHistory:
+    """h with every state suffixed, as `_rename_table` renames a table's."""
+    return ComputationHistory(tuple(
+        Configuration(c.state + suffix, c.head, c.tape) for c in h.configs), h.input)
+
+
 def merge_tables(ta: TransitionTable, tb: TransitionTable,
                  start_a: str, start_b: str) -> TransitionTable:
     """Disjoint union of two tables behind a fresh selector start state.
 
-    The first table keeps its state names; the second is suffixed with
-    primes until the two state spaces are disjoint. The selector targets
-    are the (renamed) start states of the two branches.
+    The first table keeps its state names; the second's take the suffix
+    `merge_suffix` gives. The selector targets are the (renamed) start
+    states of the two tables.
     """
     states_a = ta.states() | {start_a}
     states_b = tb.states() | {start_b}
-    suffix = "'"
-    while {s + suffix for s in states_b} & states_a:
-        suffix += "'"
-    renamed_b = _rename_table(tb, suffix)
+    suffix = merge_suffix(states_a, states_b)
     all_states = states_a | {s + suffix for s in states_b}
     fresh = "q_start"
     while fresh in all_states:
         fresh += "'"
-    entries = dict(ta.entries)
-    entries.update(renamed_b)
-    return TransitionTable(
-        entries=entries,
-        selector=(start_a, start_b + suffix),
-        selector_state=fresh,
-        branches=(ta, tb),
-    )
+    return TransitionTable({**ta.entries, **_rename_table(tb, suffix)},
+                           selector=(start_a, start_b + suffix), selector_state=fresh)

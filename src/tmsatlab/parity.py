@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .machine import ComputationHistory, Machine
 from .reduction import (
+    INPUT_GROUP,
     LabeledFormula,
     check_history,
     clause_counts,
@@ -132,7 +133,7 @@ def run_parity_machine(pm: ParityMachine, y: str) -> RunReport:
     for idx, cr in enumerate(pm.library):
         if id(cr) not in memo:
             groups = clause_counts(cr)
-            groups["G4"] += cy.clause_count
+            groups[INPUT_GROUP] += cy.clause_count
             satisfiable, history = False, None
             if idx not in pm.incompatible_indices:
                 cj = concatenate(cy, cr)
@@ -203,8 +204,7 @@ def report_to_dict(report: RunReport) -> dict:
         instances.append({
             "index": inst.index,
             "clauses": inst.clause_count,
-            "groups": {g: inst.groups[g] for g in
-                       ("G1", "G2", "G3", "G4", "G5", "G6")},
+            "groups": inst.groups,  # clause_counts keys, in GROUPS order
             "verdict": "sat" if inst.satisfiable else "unsat",
             "history_len": inst.history.transitions if inst.history else None,
         })

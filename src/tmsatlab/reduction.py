@@ -63,6 +63,7 @@ class _Grid:
         self.states = sorted(m.states)
         self.symbols = sorted(m.tape_alphabet)
         self.rules = m.rules()
+        self.tr_keys = list(range(len(self.rules))) + [PAD]  # one step's Tr keys
         self.q: Dict[Tuple[int, str], int] = {}
         self.h: Dict[Tuple[int, int], int] = {}
         self.s: Dict[Tuple[int, int, str], int] = {}
@@ -82,7 +83,7 @@ class _Grid:
                     vid += 1
                     self.s[(i, j, sym)] = vid
         for i in range(bound):
-            for r in list(range(len(self.rules))) + [PAD]:
+            for r in self.tr_keys:
                 vid += 1
                 self.tr[(i, r)] = vid
         self.var_count = vid
@@ -207,8 +208,7 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
 
     # G6: transition semantics via selector variables, plus frame clauses.
     for i in range(T):
-        clauses.append(Clause(
-            tuple(g.tr[(i, r)] for r in list(range(len(g.rules))) + [PAD]), "G6"))
+        clauses.append(Clause(tuple(g.tr[(i, r)] for r in g.tr_keys), "G6"))
         for r, (state, symbol, nxt, write, move) in enumerate(g.rules):
             tr = g.tr[(i, r)]
             clauses.append(Clause((-tr, g.q[(i, state)]), "G6"))
@@ -297,7 +297,7 @@ def induced_assignment(h: ComputationHistory, g: _Grid,
                 assignment[g.s[(i, j, l)]] = l == sym
     for i in range(T):
         chosen = rule_ids[i] if i < k else PAD
-        for r in list(range(len(g.rules))) + [PAD]:
+        for r in g.tr_keys:
             assignment[g.tr[(i, r)]] = r == chosen
     return assignment
 

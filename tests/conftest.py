@@ -26,3 +26,21 @@ def m_parity():
 @pytest.fixture(scope="session")
 def fixture_set():
     return [load_fixture(name) for name in FIXTURE_NAMES]
+
+
+@pytest.fixture(scope="session")
+def tape_growing_text():
+    """A machine that writes 0 or 1 on each new cell and never accepts:
+    2^t configurations at step t."""
+    return """\
+states: q0 qacc
+start: q0
+accept: qacc
+blank: _
+input_alphabet: 0 1
+tape_alphabet: 0 1 _
+rule: q0 _ -> q0 0 R
+rule: q0 _ -> q0 1 R
+rule: q0 0 -> q0 0 R
+rule: q0 1 -> q0 1 R
+"""

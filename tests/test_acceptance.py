@@ -13,6 +13,7 @@ import time
 import pytest
 
 from tmsatlab import corpus as suite
+from tmsatlab import machine
 from tmsatlab.cli import main
 from tmsatlab.fixtures import fixture_machines
 from tmsatlab.reduction import Clause, reduce_machine
@@ -84,6 +85,22 @@ def test_criterion_5_merge_properties(histories):
     good, pairs = suite.check_merge(histories)
     assert good == pairs == len(histories) * (len(histories) - 1)
     print(f"\nPASS criterion 5: merge properties on {pairs} history pairs")
+
+
+def test_criterion_5_sees_the_renamed_table(monkeypatch):
+    # Merging with L and R swapped in the renamed second table must fail
+    # the check on the `corpus-test` histories.
+    rename, swap = machine._rename_table, {"L": "R", "R": "L"}
+
+    def rename_swapped(t, suffix):
+        return {key: tuple((nxt, write, swap.get(move, move))
+                           for nxt, write, move in targets)
+                for key, targets in rename(t, suffix).items()}
+
+    monkeypatch.setattr(machine, "_rename_table", rename_swapped)
+    records = suite.corpus_records(10, suite.CORPUS_BOUND)
+    good, pairs = suite.check_merge(suite.accepted_histories(records))
+    assert good < pairs == 1722
 
 
 def test_criterion_6_particular_table_round_trip(histories):

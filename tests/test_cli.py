@@ -7,6 +7,7 @@ import pytest
 from tmsatlab import parity, sat
 from tmsatlab.cli import main
 from tmsatlab.fixtures import fixture_text
+from tmsatlab.machine import ORACLE_CONFIG_LIMIT
 from tmsatlab.reduction import REDUCTION_CLAUSE_LIMIT, input_part
 
 
@@ -126,6 +127,22 @@ class TestVerify:
     def test_agreement_on_accept(self, machine_file, capsys):
         assert main(["verify", "-m", machine_file, "-i", "1", "-T", "2"]) == 0
         assert "agree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["verify"], ["history", "extract"], ["kim", "run"]])
+def test_oracle_over_configuration_limit(tmp_path, capsys, command, tape_growing_text):
+    path = tmp_path / "grow.tm"
+    path.write_text(tape_growing_text)
+    if command[0] == "kim":
+        (tmp_path / "lib").mkdir()
+        (tmp_path / "lib" / "e0.tm").write_text(tape_growing_text)
+        where = ["--library", str(tmp_path / "lib"), "--base", str(path)]
+    else:
+        where = ["-m", str(path)]
+    assert main([*command, *where, "-i", "", "-T", "24"]) == 2
+    err = capsys.readouterr().err
+    assert f"limit of {ORACLE_CONFIG_LIMIT} configurations" in err
+    assert "ORACLE_CONFIG_LIMIT" in err
 
 
 class TestHistory:

@@ -1,5 +1,6 @@
 import pytest
 
+from tmsatlab import machine
 from tmsatlab.corpus import CORPUS_INPUTS, RANDOM_MACHINE_SEED
 from tmsatlab.fixtures import fixture_machines, fixture_text, random_corpus
 from tmsatlab.machine import (
@@ -8,19 +9,23 @@ from tmsatlab.machine import (
     IllegalHistoryError,
     MachineSemanticError,
     MachineSyntaxError,
+    OracleLimitError,
     TransitionTable,
     accepts_within,
     enumerate_accepting_histories,
     extract_particular_table,
     initial_configuration,
     is_deterministic,
+    merge_suffix,
     merge_tables,
     parse_machine,
+    rename_history,
     step,
     table_generates,
 )
 from tmsatlab.reduction import reduce_machine
 from tmsatlab.sat import solve_dpll, to_cnf
+
 
 # Two states that rewrite cell 0 in place; every configuration has two
 # distinct successors and none accepts, so 2^T paths but 4 configurations.
@@ -143,6 +148,14 @@ class TestBoundedSearch:
         with pytest.raises(ValueError):
             accepts_within(m_accept1, "1", -1)
 
+    def test_configuration_limit(self, monkeypatch, tape_growing_text):
+        # Within T steps the search visits 2^(T+1) - 1 configurations.
+        monkeypatch.setattr(machine, "ORACLE_CONFIG_LIMIT", 15)
+        m = parse_machine(tape_growing_text, name="grow")
+        assert accepts_within(m, "", 3) == (False, None)
+        with pytest.raises(OracleLimitError, match="limit of 15 configurations"):
+            accepts_within(m, "", 4)
+
 
 @pytest.mark.parametrize(
     "m", fixture_machines() + random_corpus(RANDOM_MACHINE_SEED, 52),
@@ -249,11 +262,17 @@ class TestMerge:
         assert merged.selector_state == "q_start"
 
     def test_generates_both_histories(self, m_accept1, m_parity):
+        # The second table's states are renamed, so the merged table
+        # generates its history only under the same renaming.
         merged = self.make_merged(m_accept1, m_parity)
         _, ha = accepts_within(m_accept1, "1", 1)
         _, hb = accepts_within(m_parity, "11", 4)
+        suffix = merge_suffix(m_accept1.table.states() | {m_accept1.start},
+                              m_parity.table.states() | {m_parity.start})
+        assert suffix == "'"
         assert table_generates(merged, ha)
-        assert table_generates(merged, hb)
+        assert table_generates(merged, rename_history(hb, suffix))
+        assert not table_generates(merged, hb)
 
     def test_state_set_is_fresh(self, m_accept1, m_parity):
         merged = self.make_merged(m_accept1, m_parity)
