@@ -1,14 +1,25 @@
 """CNF satisfiability backend.
 
-A plain DPLL solver (two-watched-literal unit propagation, chronological
-backtracking, fixed branching order), an exhaustive truth-table oracle
-for cross-validation, and DIMACS I/O.
+A plain DPLL solver (unit propagation, chronological backtracking, fixed
+branching order), an exhaustive truth-table oracle for cross-validation,
+and DIMACS I/O.
+
+A clause is a tuple of int literals all the way from the reduction to
+the solver: `to_cnf` hands over the reduction's own `Clause.literals`
+tuples, and `from_dimacs` cuts its clauses out of one tuple of tokens.
+The solver keeps each binary clause as two entries of per-literal
+implication lists and copies only clauses of three or more literals into
+two-watched-literal lists. The DIMACS writer renders literals from a
+per-call table of their strings; the reader converts tokens through a
+string-to-literal table when the text has more clause lines than the
+table has entries, and through `int` otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .reduction import LabeledFormula
 
@@ -16,8 +27,8 @@ BRUTE_FORCE_VAR_LIMIT = 24
 # The solver allocates per declared variable; the benchmark's largest
 # reduction has 10,039.
 DIMACS_VAR_LIMIT = 200_000
-# Lines that the bulk DIMACS read joins for one `int` pass: the token
-# strings of one run are held at once, not those of the whole text.
+# Lines that the bulk DIMACS read joins for one conversion pass: the
+# token strings of one run are held at once, not those of the whole text.
 _BULK_LINES = 4096
 
 
@@ -35,18 +46,37 @@ class BruteForceGuardError(SatError):
 
 @dataclass
 class CnfFormula:
+    """Clauses as int tuples over variables 1..var_count; clauses given
+    as lists are converted to tuples."""
+
     var_count: int
-    clauses: List[List[int]]
+    clauses: List[Tuple[int, ...]]
 
     def __post_init__(self):
         if self.var_count < 0:
             raise ValueError("var_count must be non-negative")
-        for clause in self.clauses:
-            if not clause:
-                raise ValueError("empty clause")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.var_count:
-                    raise ValueError(f"literal {lit} out of range 1..{self.var_count}")
+        self.clauses = list(map(tuple, self.clauses))
+        _check_clauses(self.clauses, self.var_count)
+
+
+def _check_clauses(clauses: Sequence[Sequence[int]], n: int):
+    """Raise ValueError naming the first empty clause or literal outside
+    -n..-1, 1..n, in clause order. One pass over the set of literals
+    clears a well-formed list; only a list it does not clear is walked
+    clause by clause, for the first fault."""
+    try:
+        lits = set(chain.from_iterable(clauses))
+        if (all(clauses) and 0 not in lits
+                and -n <= min(lits, default=0) and max(lits, default=0) <= n):
+            return
+    except TypeError:
+        pass
+    for clause in clauses:
+        if not clause:
+            raise ValueError("empty clause")
+        for lit in clause:
+            if lit == 0 or abs(lit) > n:
+                raise ValueError(f"literal {lit} out of range 1..{n}")
 
 
 @dataclass
@@ -64,8 +94,9 @@ class SolveResult:
 
 
 def to_cnf(f: LabeledFormula) -> CnfFormula:
-    """Strip the labels off a labeled formula."""
-    return CnfFormula(f.var_count, [list(c.literals) for c in f.clauses])
+    """Strip the labels off a labeled formula; its clauses are the
+    reduction's own literal tuples, not copies."""
+    return CnfFormula(f.var_count, [c.literals for c in f.clauses])
 
 
 def check_model(f: CnfFormula, assignment: Dict[int, bool]) -> bool:
@@ -89,25 +120,56 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     Deterministic: branches on the lowest-index unassigned variable,
     trying true first, so the first model found is the lexicographically
     greatest one (variable 1 most significant, true above false).
+    Propagation reaches the same fixpoint or conflict in any order, so
+    how clauses are stored does not change a decision or a model.
     """
     n = f.var_count
-    # val[lit] (True, False or None for unassigned) and watches[lit] are
-    # indexed by the literal itself: -v wraps into the upper half.
+    # val[lit] (True, False or None for unassigned), implied[lit] and
+    # watches[lit] are indexed by the literal itself: -v wraps into the
+    # upper half. implied[lit] lists the literals that binary clauses
+    # make true once lit is true; watches[lit] lists the clauses of three
+    # or more literals that watch lit. Both are None for a literal with
+    # nothing to list, so a large, sparse formula allocates little.
     val: List[Optional[bool]] = [None] * (2 * n + 1)
-    watches: List[List[List[int]]] = [[] for _ in range(2 * n + 1)]
+    implied: List[Optional[List[int]]] = [None] * (2 * n + 1)
+    watches: List[Optional[List[List[int]]]] = [None] * (2 * n + 1)
     units: List[int] = []
+    binaries: List[Tuple[int, ...]] = []
+    longs: List[List[int]] = []
     for clause in f.clauses:
-        if len(set(map(abs, clause))) == len(clause):
-            clause = list(clause)
+        k = len(clause)
+        if k == 3:
+            a, b, c = clause
+            repeats = a == b or a == c or b == c or a == -b or a == -c or b == -c
         else:
-            clause = list(dict.fromkeys(clause))
+            repeats = k > 3 and len(set(map(abs, clause))) < k
+        if repeats:  # a variable occurs twice in a clause of three or more
+            clause = tuple(dict.fromkeys(clause))
             if any(-lit in clause for lit in clause):
                 continue  # tautology, always satisfied
-        if len(clause) == 1:
-            units.append(clause[0])
+            k = len(clause)
+        if k == 2:
+            a, b = clause
+            if a == b:
+                units.append(a)
+            elif a != -b:  # (a, -a) is always satisfied
+                binaries.append(clause)
+        elif k > 2:
+            longs.append(list(clause))
         else:
-            watches[clause[0]].append(clause)
-            watches[clause[1]].append(clause)
+            units.append(clause[0])
+    for lit in set(chain.from_iterable(binaries)):
+        implied[-lit] = []
+    for a, b in binaries:
+        implied[-a].append(b)
+        implied[-b].append(a)
+    # A watch can move to any literal of its clause.
+    for lit in set(chain.from_iterable(longs)):
+        watches[lit] = []
+    for clause in longs:
+        watches[clause[0]].append(clause)
+        watches[clause[1]].append(clause)
+    del binaries, longs
     trail: List[int] = []
 
     def propagate(pending: List[int]) -> bool:
@@ -123,8 +185,13 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
             val[lit] = True
             val[-lit] = False
             trail.append(lit)
+            imp = implied[lit]
+            if imp:
+                pending += imp
             neg = -lit
             watchers = watches[neg]
+            if not watchers:
+                continue
             kept: List[List[int]] = []
             for pos, clause in enumerate(watchers):
                 # Keep the two watched literals in the first two slots.
@@ -230,19 +297,25 @@ def to_dimacs(f) -> str:
     """Render a CnfFormula or LabeledFormula as DIMACS text.
 
     Labeled formulas get `c var <id> = <label>` headers and a
-    `c clause <n> group G<k>` comment before each clause.
+    `c clause <n> group G<k>` comment before each clause. Refuses, with
+    a ValueError, what `CnfFormula` refuses: an empty clause or a
+    literal outside -var_count..var_count, or 0.
     """
+    n = f.var_count
+    labeled = isinstance(f, LabeledFormula)
+    _check_clauses([c.literals for c in f.clauses] if labeled else f.clauses, n)
+    # names[lit] is str(lit): -v wraps into the upper half.
+    name = (list(map(str, range(n + 1))) + list(map(str, range(-n, 0)))).__getitem__
     lines: List[str] = []
-    if isinstance(f, LabeledFormula):
+    if labeled:
         lines.extend(f"c var {vid} = {label}" for vid, label in f.grid.labels())
-        lines.append(f"p cnf {f.var_count} {f.clause_count}")
-        for idx, clause in enumerate(f.clauses, start=1):
-            lines.append(f"c clause {idx} group {clause.group}")
-            lines.append(" ".join(map(str, clause.literals)) + " 0")
+        lines.append(f"p cnf {n} {f.clause_count}")
+        for idx, (literals, group) in enumerate(f.clauses, start=1):
+            lines.append(f"c clause {idx} group {group}\n{' '.join(map(name, literals))} 0")
     else:
-        lines.append(f"p cnf {f.var_count} {len(f.clauses)}")
+        lines.append(f"p cnf {n} {len(f.clauses)}")
         for clause in f.clauses:
-            lines.append(" ".join(map(str, clause)) + " 0")
+            lines.append(" ".join(map(name, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -254,18 +327,20 @@ def from_dimacs(text: str) -> CnfFormula:
     text has a fault, and the line-by-line scan names it.
     """
     (var_count, clause_count), tokens = _scan_bulk(text) or _scan_lines(text)
-    clauses: List[List[int]] = []
-    current: List[int] = []
-    for tok in tokens:
-        if tok == 0:
-            if not current:
-                raise DimacsError("empty clause in DIMACS input")
-            clauses.append(current)
-            current = []
-        else:
-            current.append(tok)
-    if current:
-        raise DimacsError("missing terminating 0 on final clause")
+    # Each clause is a slice of one tuple of every token, up to its 0.
+    tokens = tuple(tokens)
+    clauses: List[Tuple[int, ...]] = []
+    start, stop = 0, len(tokens)
+    while start < stop:
+        try:
+            end = tokens.index(0, start)
+        except ValueError:
+            raise DimacsError("missing terminating 0 on final clause") from None
+        if end == start:
+            raise DimacsError("empty clause in DIMACS input")
+        clauses.append(tokens[start:end])
+        start = end + 1
+    del tokens
     if len(clauses) != clause_count:
         raise DimacsError(
             f"header claims {clause_count} clauses, found {len(clauses)}")
@@ -295,8 +370,13 @@ def _header(line: str, lineno: int) -> Tuple[int, int]:
 def _scan_bulk(text: str) -> Optional[Tuple[Tuple[int, int], List[int]]]:
     """The header and literal tokens of a text whose first non-comment
     line is a valid header and whose later non-comment lines hold only
-    integers, converted by `int` over joined runs of lines; None for any
-    other text, whose fault `_scan_lines` names."""
+    integers, converted over joined runs of lines; None for any other
+    text, whose fault `_scan_lines` names.
+
+    A text of more clause lines than the 2n+1 literals of its n
+    variables pays for a string-to-literal table; a run with a token the
+    table lacks ("+1", "01", a literal above n) is converted by `int`,
+    as is every run of a shorter text."""
     lines = text.splitlines()
     for at, line in enumerate(lines):
         line = line.strip()
@@ -312,11 +392,19 @@ def _scan_bulk(text: str) -> Optional[Tuple[Tuple[int, int], List[int]]]:
         return None
     body = [raw for raw in lines[at + 1:] if not raw.lstrip().startswith("c")]
     del lines
+    n = header[0]
+    convert = int
+    if len(body) > 2 * n + 1:
+        convert = dict(zip(map(str, range(-n, n + 1)), range(-n, n + 1))).__getitem__
     tokens: List[int] = []
     try:
         # A second header fails here too: its first token is no integer.
         for i in range(0, len(body), _BULK_LINES):
-            tokens += map(int, " ".join(body[i:i + _BULK_LINES]).split())
+            words = " ".join(body[i:i + _BULK_LINES]).split()
+            try:
+                tokens += list(map(convert, words))
+            except KeyError:  # a token the table lacks
+                tokens += map(int, words)
     except ValueError:
         return None
     return header, tokens

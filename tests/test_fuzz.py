@@ -2,7 +2,7 @@
 DIMACS text survives a round trip, and the two DIMACS scans agree."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmsatlab.argument import FormulaSyntaxError, parse_formula
@@ -43,8 +43,15 @@ DIMACS = [
     "p cnf 3 1\n1 -2\n3 0\n",              # one clause over two lines
     "\np cnf 2 2\n\n-1 2 0\n\n1 0\n\n",    # blank lines
     "  c x\np cnf 2 1\n\t c y\n-1 0\n",    # comment lines with leading whitespace
+    # More clause lines than the 2n+1 literals, so tokens are read
+    # through the string-to-literal table.
+    "p cnf 1 4\n1 0\n-1\n1 0\n1\n0\n-1 1 0\n",
+    "c x\np cnf 2 6\n1 -2 0\n2 0\n\n-1 0\n1\n2 0\n-2 1 0\n2 0\n",
 ]
-DIMACS_PIECES = ["p", "cnf", "c", "0", "1", "-1", "2", "-3"]
+# "+1", "01", "-0", "1_0" and "\u0663" (Arabic-Indic three) are integers
+# to `int` but not in the table, and neither is 4, above every seed's n.
+DIMACS_PIECES = ["p", "cnf", "c", "0", "1", "-1", "2", "-3",
+                 "+1", "01", "-0", "1_0", "\u0663", "4"]
 
 
 @pytest.mark.parametrize("parse, error, valid, pieces, sep", [
@@ -66,6 +73,8 @@ def test_parser_raises_only_its_declared_error(parse, error, valid, pieces, sep)
 
 @settings(max_examples=300, deadline=None)
 @given(edited(DIMACS, DIMACS_PIECES, "\n"))
+@example("p cnf 1 4\n1 0\n-1 0\n+1 01 -0\n1_0 \u0663 4 0\n")  # table misses
+@example("p cnf 2 2\n-2 -1 0\n2 1 0\n")                        # `int` only
 def test_dimacs_bulk_scan_agrees_with_line_scan(text):
     # The bulk scan reads every text the line-by-line scan reads, the
     # same way, and declines every text that scan refuses.

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tmsatlab.corpus import check_solver_agreement
 from tmsatlab.machine import accepts_within
-from tmsatlab.reduction import reduce_machine
+from tmsatlab.reduction import Clause, LabeledFormula, reduce_machine
 from tmsatlab.sat import (
     DIMACS_VAR_LIMIT,
     BruteForceGuardError,
@@ -55,6 +55,36 @@ class TestDpll:
         assert result.satisfiable and check_model(f, result.assignment)
 
 
+class TestBinaryClauses:
+    """Binary clauses propagate through implication lists, apart from
+    the watched clauses of three or more literals."""
+
+    def test_repeated_literal_acts_as_a_unit(self):
+        # Branching tries true first; only the unit makes variable 1 false.
+        result = solve_dpll(CnfFormula(2, [(-1, -1), (1, 2, -2)]))
+        assert result.assignment == {1: False, 2: True}
+
+    def test_tautology_is_dropped(self):
+        assert solve_dpll(CnfFormula(1, [(1, -1)])).assignment == {1: True}
+        assert solve_dpll(CnfFormula(1, [(-1, 1), (-1, -1)])).assignment == {1: False}
+
+    def test_binary_conflict_at_level_zero_is_unsat(self):
+        # The unit (1, 1) implies 2 and 3, and (-3, -1) then fails: no
+        # decision is ever made.
+        f = CnfFormula(3, [(1, 1), (-1, 2), (-2, 3), (-3, -1)])
+        assert not solve_dpll(f).satisfiable
+        assert not solve_bruteforce(f).satisfiable
+
+    def test_binary_conflict_after_a_decision_flips_it(self):
+        # Deciding 1 true implies 2, then 3, then -1: the decision flips,
+        # and the search goes on to decide 2 and 3 true.
+        f = CnfFormula(3, [(-1, 2), (-2, 3), (-3, -1)])
+        assert solve_dpll(f).assignment == {1: False, 2: True, 3: True}
+        # Both halves of the flipped decision's conflict are binary.
+        f = CnfFormula(2, [(-1, 2), (-1, -2)])
+        assert solve_dpll(f).assignment == {1: False, 2: True}
+
+
 @st.composite
 def small_cnfs(draw):
     """At most 12 variables and 40 clauses of 1 to 3 literals; the
@@ -79,6 +109,33 @@ def test_dpll_model_is_the_lexicographically_greatest(f):
         flipped = CnfFormula(f.var_count, [[-lit for lit in c] for c in f.clauses])
         first = solve_bruteforce(flipped).assignment
         assert result.assignment == {v: not x for v, x in first.items()}
+
+
+def _reference_formula_error(n, clauses):
+    """The first error of the clause-by-clause check, or None."""
+    for clause in clauses:
+        if not clause:
+            return "empty clause"
+        for lit in clause:
+            if lit == 0 or abs(lit) > n:
+                return f"literal {lit} out of range 1..{n}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6),
+       st.lists(st.lists(st.integers(-8, 8), max_size=4), max_size=6))
+def test_formula_check_matches_clause_by_clause_reference(n, clauses):
+    # Empty clauses, 0 and literals beyond n all occur in the draws.
+    expected = _reference_formula_error(n, clauses)
+    try:
+        f = CnfFormula(n, clauses)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert all(type(c) is tuple for c in f.clauses)
+        assert f == CnfFormula(n, [tuple(c) for c in clauses])
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,6 +189,21 @@ class TestDimacs:
         back = from_dimacs(to_dimacs(f))
         assert back.var_count == f.var_count
         assert sorted(map(sorted, back.clauses)) == sorted(map(sorted, f.clauses))
+
+    def test_literals_are_written_as_before(self):
+        # Every literal of a declared variable, and the text `str` gives.
+        f = CnfFormula(3, [(1, -1, 2, -2, 3, -3), (-3,), (3, 1)])
+        assert to_dimacs(f) == "p cnf 3 3\n1 -1 2 -2 3 -3 0\n-3 0\n3 1 0\n"
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_labeled_literal_out_of_range_is_refused(self, m_accept1, side):
+        # From a table of the 2n+1 literal strings, -(n+1) would print as
+        # n and n+1 as -n.
+        grid = reduce_machine(m_accept1, "1", 1).grid
+        bad = side * (grid.var_count + 1)
+        f = LabeledFormula(grid, [Clause((1,), "G1"), Clause((2, bad), "G6")], "1")
+        with pytest.raises(ValueError, match=f"^literal {bad} out of range"):
+            to_dimacs(f)
 
     def test_labeled_text_is_read_in_bulk(self, m_accept1):
         text = to_dimacs(reduce_machine(m_accept1, "1", 2))
