@@ -9,10 +9,11 @@ the solver: `to_cnf` hands over the reduction's own `Clause.literals`
 tuples, and `from_dimacs` cuts its clauses out of one tuple of tokens.
 The solver keeps each binary clause as two entries of per-literal
 implication lists and copies only clauses of three or more literals into
-two-watched-literal lists. The DIMACS writer renders literals from a
-per-call table of their strings; the reader converts tokens through a
-string-to-literal table when the text has more clause lines than the
-table has entries, and through `int` otherwise.
+two-watched-literal lists. Each DIMACS direction has a per-call table
+of the 2n+1 literals, used only when the formula has more clauses (or
+the text more clause lines) than the table has entries: the writer
+renders literals from a table of their strings, and the reader converts
+tokens through a string-to-literal table, and through `int` otherwise.
 """
 
 from __future__ import annotations
@@ -169,7 +170,6 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     for clause in longs:
         watches[clause[0]].append(clause)
         watches[clause[1]].append(clause)
-    del binaries, longs
     trail: List[int] = []
 
     def propagate(pending: List[int]) -> bool:
@@ -298,14 +298,18 @@ def to_dimacs(f) -> str:
 
     Labeled formulas get `c var <id> = <label>` headers and a
     `c clause <n> group G<k>` comment before each clause. Refuses, with
-    a ValueError, what `CnfFormula` refuses: an empty clause or a
-    literal outside -var_count..var_count, or 0.
+    a ValueError, what `CnfFormula` refuses: an empty clause, or a
+    literal that is 0 or outside -var_count..var_count.
     """
     n = f.var_count
     labeled = isinstance(f, LabeledFormula)
     _check_clauses([c.literals for c in f.clauses] if labeled else f.clauses, n)
-    # names[lit] is str(lit): -v wraps into the upper half.
-    name = (list(map(str, range(n + 1))) + list(map(str, range(-n, 0)))).__getitem__
+    # A table of the 2n+1 literal strings pays for itself only on more
+    # clauses than it has entries, as in `_scan_bulk`. Its index is the
+    # literal: -v wraps into the upper half.
+    name = str
+    if len(f.clauses) > 2 * n + 1:
+        name = (list(map(str, range(n + 1))) + list(map(str, range(-n, 0)))).__getitem__
     lines: List[str] = []
     if labeled:
         lines.extend(f"c var {vid} = {label}" for vid, label in f.grid.labels())
