@@ -65,13 +65,10 @@ def _check_clauses(clauses: Sequence[Sequence[int]], n: int):
     -n..-1, 1..n, in clause order. One pass over the set of literals
     clears a well-formed list; only a list it does not clear is walked
     clause by clause, for the first fault."""
-    try:
-        lits = set(chain.from_iterable(clauses))
-        if (all(clauses) and 0 not in lits
-                and -n <= min(lits, default=0) and max(lits, default=0) <= n):
-            return
-    except TypeError:
-        pass
+    lits = set(chain.from_iterable(clauses))
+    if (all(clauses) and 0 not in lits
+            and -n <= min(lits, default=0) and max(lits, default=0) <= n):
+        return
     for clause in clauses:
         if not clause:
             raise ValueError("empty clause")
