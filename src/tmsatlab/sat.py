@@ -10,10 +10,10 @@ tuples, and `from_dimacs` cuts its clauses out of one tuple of tokens.
 The solver keeps each binary clause as two entries of per-literal
 implication lists and copies only clauses of three or more literals into
 two-watched-literal lists. Each DIMACS direction has a per-call table
-of the 2n+1 literals, used only when the formula has more clauses (or
-the text more clause lines) than the table has entries: the writer
-renders literals from a table of their strings, and the reader converts
-tokens through a string-to-literal table, and through `int` otherwise.
+of the 2n+1 literals. The writer renders every literal from a table of
+their strings. The reader converts tokens through a string-to-literal
+table only when the text has more clause lines than the table has
+entries, and through `int` otherwise.
 """
 
 from __future__ import annotations
@@ -136,12 +136,8 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     longs: List[List[int]] = []
     for clause in f.clauses:
         k = len(clause)
-        if k == 3:
-            a, b, c = clause
-            repeats = a == b or a == c or b == c or a == -b or a == -c or b == -c
-        else:
-            repeats = k > 3 and len(set(map(abs, clause))) < k
-        if repeats:  # a variable occurs twice in a clause of three or more
+        if k > 2 and len(set(map(abs, clause))) < k:
+            # A variable occurs twice in a clause of three or more.
             clause = tuple(dict.fromkeys(clause))
             if any(-lit in clause for lit in clause):
                 continue  # tautology, always satisfied
@@ -294,19 +290,18 @@ def to_dimacs(f) -> str:
     """Render a CnfFormula or LabeledFormula as DIMACS text.
 
     Labeled formulas get `c var <id> = <label>` headers and a
-    `c clause <n> group G<k>` comment before each clause. Refuses, with
-    a ValueError, what `CnfFormula` refuses: an empty clause, or a
-    literal that is 0 or outside -var_count..var_count.
+    `c clause <n> group G<k>` comment before each clause. A labeled
+    formula's clauses get the check a `CnfFormula` gets when it is
+    built: an empty clause, or a literal that is 0 or outside
+    -var_count..var_count, raises ValueError.
     """
     n = f.var_count
     labeled = isinstance(f, LabeledFormula)
-    _check_clauses([c.literals for c in f.clauses] if labeled else f.clauses, n)
-    # A table of the 2n+1 literal strings pays for itself only on more
-    # clauses than it has entries, as in `_scan_bulk`. Its index is the
-    # literal: -v wraps into the upper half.
-    name = str
-    if len(f.clauses) > 2 * n + 1:
-        name = (list(map(str, range(n + 1))) + list(map(str, range(-n, 0)))).__getitem__
+    if labeled:
+        _check_clauses([c.literals for c in f.clauses], n)
+    # Literals are written from a table of the 2n+1 literal strings,
+    # indexed by the literal: -v wraps into the upper half.
+    name = (list(map(str, range(n + 1))) + list(map(str, range(-n, 0)))).__getitem__
     lines: List[str] = []
     if labeled:
         lines.extend(f"c var {vid} = {label}" for vid, label in f.grid.labels())
