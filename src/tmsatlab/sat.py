@@ -290,28 +290,31 @@ def to_dimacs(f) -> str:
     """Render a CnfFormula or LabeledFormula as DIMACS text.
 
     Labeled formulas get `c var <id> = <label>` headers and a
-    `c clause <n> group G<k>` comment before each clause. A labeled
-    formula's clauses get the check a `CnfFormula` gets when it is
-    built: an empty clause, or a literal that is 0 or outside
-    -var_count..var_count, raises ValueError.
+    `c clause <n> group G<k>` comment before each clause. A literal that
+    is 0 or outside -var_count..var_count raises ValueError naming it.
     """
     n = f.var_count
+    # Literals are written from a table of their strings. It holds only
+    # the literals of n variables, so a bad literal is a missing key, never
+    # another literal's string.
+    lits = [*range(-n, 0), *range(1, n + 1)]
+    name = dict(zip(lits, map(str, lits))).__getitem__
     labeled = isinstance(f, LabeledFormula)
-    if labeled:
-        _check_clauses([c.literals for c in f.clauses], n)
-    # Literals are written from a table of the 2n+1 literal strings,
-    # indexed by the literal: -v wraps into the upper half.
-    name = (list(map(str, range(n + 1))) + list(map(str, range(-n, 0)))).__getitem__
     lines: List[str] = []
     if labeled:
         lines.extend(f"c var {vid} = {label}" for vid, label in f.grid.labels())
         lines.append(f"p cnf {n} {f.clause_count}")
-        for idx, (literals, group) in enumerate(f.clauses, start=1):
-            lines.append(f"c clause {idx} group {group}\n{' '.join(map(name, literals))} 0")
+        rows = (f"c clause {idx} group {group}\n{' '.join(map(name, literals))} 0"
+                for idx, (literals, group) in enumerate(f.clauses, start=1))
     else:
         lines.append(f"p cnf {n} {len(f.clauses)}")
-        for clause in f.clauses:
-            lines.append(" ".join(map(name, clause)) + " 0")
+        rows = (" ".join(map(name, clause)) + " 0" for clause in f.clauses)
+    try:
+        lines.extend(rows)
+    except KeyError:
+        # The clause-by-clause check names the first bad literal.
+        _check_clauses([c.literals for c in f.clauses] if labeled else f.clauses, n)
+        raise
     return "\n".join(lines) + "\n"
 
 

@@ -195,10 +195,9 @@ class TestDimacs:
         text = to_dimacs(CnfFormula(3, [(1, -1, 2, -2, 3, -3), (-3,), (3, 1)]))
         assert text == "p cnf 3 3\n1 -1 2 -2 3 -3 0\n-3 0\n3 1 0\n"
 
-    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    @pytest.mark.parametrize("side", [-1, 0, 1], ids=["below", "zero", "above"])
     def test_labeled_literal_out_of_range_is_refused(self, m_accept1, side):
-        # From the table of the 2n+1 literal strings, -(n+1) would print
-        # as n and n+1 as -n.
+        # 0 and ±(n+1) have no entry in the table of literal strings.
         grid = reduce_machine(m_accept1, "1", 1).grid
         bad = side * (grid.var_count + 1)
         clauses = [Clause((1,), "G1"), Clause((2, bad), "G6")]
