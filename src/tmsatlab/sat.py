@@ -10,10 +10,11 @@ tuples, and `from_dimacs` cuts its clauses out of one tuple of tokens.
 The solver keeps each binary clause as two entries of per-literal
 implication lists and copies only clauses of three or more literals into
 two-watched-literal lists. Each DIMACS direction has a per-call table
-of the 2n+1 literals. The writer renders every literal from a table of
-their strings. The reader converts tokens through a string-to-literal
-table only when the text has more clause lines than the table has
-entries, and through `int` otherwise.
+of literals. The writer renders every literal from a table of the
+strings of the 2n literals, which has no entry for a bad literal. The
+reader converts tokens through a string-to-literal table of the 2n+1
+tokens -n..n only when the text has more clause lines than that, and
+through `int` otherwise.
 """
 
 from __future__ import annotations
