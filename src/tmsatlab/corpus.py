@@ -12,7 +12,7 @@ iteration order, so repeated runs produce byte-identical output.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from itertools import chain
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import argument, parity
@@ -30,7 +30,6 @@ from .machine import (
     table_generates,
 )
 from .reduction import (
-    GROUPS,
     INPUT_GROUP,
     LabeledFormula,
     check_history,
@@ -95,16 +94,16 @@ def _certified(f: LabeledFormula, cnf: CnfFormula, model: Dict[int, bool]) -> bo
 
 def _partitioned(f: LabeledFormula) -> bool:
     """No clause holds a variable and its negation (`to_cnf` already
-    refuses an empty one); the input part is G4 units; the run part holds
-    only the other known groups, so no G4 clause and no unknown group;
-    the parts' clauses add up to the reduction's."""
+    refuses an empty one); the input part is G4 units and the run part
+    holds no G4 clause; joining the parts gives back every group of the
+    reduction, clause for clause and in order."""
     cy, cr = input_part(f), run_part(f)
-    return (all(len(set(map(abs, c.literals))) == len(set(c.literals))
-                for c in f.clauses)
-            and all(c.group == INPUT_GROUP and len(c.literals) == 1 for c in cy.clauses)
-            and {c.group for c in cr.clauses} <= set(GROUPS) - {INPUT_GROUP}
-            and cy.clause_count + cr.clause_count == f.clause_count
-            and Counter(concatenate(cy, cr).clauses) == Counter(f.clauses))
+    units = cy.groups[INPUT_GROUP]
+    return (all(len(set(map(abs, c))) == len(set(c))
+                for c in chain.from_iterable(f.groups.values()))
+            and cy.clause_count == len(units) and all(len(c) == 1 for c in units)
+            and not cr.groups[INPUT_GROUP]
+            and concatenate(cy, cr).groups == f.groups)
 
 
 def accepted_histories(records: Sequence[CaseRecord]) -> List[History]:

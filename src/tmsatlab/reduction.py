@@ -10,6 +10,7 @@ transition semantics via explicit selector variables plus frame clauses
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, count
 from typing import Dict, Iterator, List, NamedTuple, Tuple, Union
 
 from .machine import (
@@ -43,9 +44,8 @@ class MalformedModelError(ReductionError):
 
 
 class Clause(NamedTuple):
-    """A clause and its group. Construction checks nothing: `to_cnf`
-    refuses an empty clause, and the property suite (`corpus`) checks the
-    rest on every corpus reduction."""
+    """A clause and its group, the element type of the read-only
+    `LabeledFormula.clauses` view; formulas do not hold these."""
 
     literals: Tuple[int, ...]
     group: str
@@ -64,29 +64,18 @@ class _Grid:
         self.symbols = sorted(m.tape_alphabet)
         self.rules = m.rules()
         self.tr_keys = list(range(len(self.rules))) + [PAD]  # one step's Tr keys
-        self.q: Dict[Tuple[int, str], int] = {}
-        self.h: Dict[Tuple[int, int], int] = {}
-        self.s: Dict[Tuple[int, int, str], int] = {}
-        self.tr: Dict[Tuple[int, Union[int, str]], int] = {}
-        vid = 0
-        for i in range(bound + 1):
-            for k in self.states:
-                vid += 1
-                self.q[(i, k)] = vid
-        for i in range(bound + 1):
-            for j in range(bound + 1):
-                vid += 1
-                self.h[(i, j)] = vid
-        for i in range(bound + 1):
-            for j in range(bound + 1):
-                for sym in self.symbols:
-                    vid += 1
-                    self.s[(i, j, sym)] = vid
-        for i in range(bound):
-            for r in self.tr_keys:
-                vid += 1
-                self.tr[(i, r)] = vid
-        self.var_count = vid
+        # Ids count up from 1 in the order the keys are generated.
+        ids = count(1)
+        times = cells = range(bound + 1)
+        self.q: Dict[Tuple[int, str], int] = {
+            (i, k): next(ids) for i in times for k in self.states}
+        self.h: Dict[Tuple[int, int], int] = {
+            (i, j): next(ids) for i in times for j in cells}
+        self.s: Dict[Tuple[int, int, str], int] = {
+            (i, j, sym): next(ids) for i in times for j in cells for sym in self.symbols}
+        self.tr: Dict[Tuple[int, Union[int, str]], int] = {
+            (i, r): next(ids) for i in range(bound) for r in self.tr_keys}
+        self.var_count = next(ids) - 1
 
     def labels(self) -> Iterator[Tuple[int, str]]:
         """(id, label) of every variable in id order, such as
@@ -104,15 +93,30 @@ class _Grid:
 @dataclass
 class LabeledFormula:
     """Clauses over the variable grid of one reduction of `grid.machine`
-    on `input`."""
+    on `input`: a tuple of int-tuple clauses for each name in GROUPS, in
+    order. A group left out is empty; a name outside GROUPS is refused."""
 
     grid: _Grid
-    clauses: List[Clause]
+    groups: Dict[str, Tuple[Tuple[int, ...], ...]]
     input: str
+
+    def __post_init__(self):
+        for group in self.groups:
+            if group not in GROUPS:
+                raise ValueError(f"unknown clause group {group!r}")
+        self.groups = {group: tuple(self.groups.get(group, ())) for group in GROUPS}
+
+    @property
+    def clauses(self) -> Tuple[Clause, ...]:
+        # Built on demand for bench/tracing.py, which reads `group` and
+        # `literals`; no module in src/ reads it. It goes when the tracer
+        # counts through `clause_counts` (ROADMAP item 1).
+        return tuple(Clause(literals, group)
+                     for group, clauses in self.groups.items() for literals in clauses)
 
     @property
     def clause_count(self) -> int:
-        return len(self.clauses)
+        return sum(map(len, self.groups.values()))
 
     @property
     def bound(self) -> int:
@@ -127,12 +131,8 @@ class LabeledFormula:
         return self.grid.machine
 
 
-def _exactly_one(ids: List[int], group: str) -> List[Clause]:
-    out = [Clause(tuple(ids), group)]
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            out.append(Clause((-ids[a], -ids[b]), group))
-    return out
+def _exactly_one(ids: List[int]) -> List[Tuple[int, ...]]:
+    return [tuple(ids)] + [(-a, -b) for a, b in combinations(ids, 2)]
 
 
 def _moved_head(j: int, move: str, bound: int) -> int:
@@ -185,67 +185,63 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
                              f"of {REDUCTION_CLAUSE_LIMIT}")
     g = _Grid(m, bound)
     T = bound
-    clauses: List[Clause] = []
+    groups: List[List[Tuple[int, ...]]] = [[] for _ in GROUPS]
+    g1, g2, g3, g4, g5, g6 = groups
 
     # G1/G2/G3: exactly one state, head cell, and symbol per cell, per time.
     for i in range(T + 1):
-        clauses.extend(_exactly_one([g.q[(i, k)] for k in g.states], "G1"))
+        g1.extend(_exactly_one([g.q[(i, k)] for k in g.states]))
     for i in range(T + 1):
-        clauses.extend(_exactly_one([g.h[(i, j)] for j in range(T + 1)], "G2"))
+        g2.extend(_exactly_one([g.h[(i, j)] for j in range(T + 1)]))
     for i in range(T + 1):
         for j in range(T + 1):
-            clauses.extend(_exactly_one([g.s[(i, j, l)] for l in g.symbols], "G3"))
+            g3.extend(_exactly_one([g.s[(i, j, l)] for l in g.symbols]))
 
     # G4: the initial configuration, as unit clauses.
-    clauses.append(Clause((g.q[(0, m.start)],), "G4"))
-    clauses.append(Clause((g.h[(0, 0)],), "G4"))
+    g4.append((g.q[(0, m.start)],))
+    g4.append((g.h[(0, 0)],))
     for j in range(T + 1):
         sym = input_str[j] if j < len(input_str) else m.blank
-        clauses.append(Clause((g.s[(0, j, sym)],), "G4"))
+        g4.append((g.s[(0, j, sym)],))
 
     # G5: accept at the final time.
-    clauses.append(Clause((g.q[(T, m.accept)],), "G5"))
+    g5.append((g.q[(T, m.accept)],))
 
     # G6: transition semantics via selector variables, plus frame clauses.
     for i in range(T):
-        clauses.append(Clause(tuple(g.tr[(i, r)] for r in g.tr_keys), "G6"))
+        g6.append(tuple(g.tr[(i, r)] for r in g.tr_keys))
         for r, (state, symbol, nxt, write, move) in enumerate(g.rules):
             tr = g.tr[(i, r)]
-            clauses.append(Clause((-tr, g.q[(i, state)]), "G6"))
-            clauses.append(Clause((-tr, g.q[(i + 1, nxt)]), "G6"))
+            g6.append((-tr, g.q[(i, state)]))
+            g6.append((-tr, g.q[(i + 1, nxt)]))
             for j in range(T + 1):
                 hij = g.h[(i, j)]
-                clauses.append(Clause((-tr, -hij, g.s[(i, j, symbol)]), "G6"))
-                clauses.append(Clause((-tr, -hij, g.s[(i + 1, j, write)]), "G6"))
-                clauses.append(Clause(
-                    (-tr, -hij, g.h[(i + 1, _moved_head(j, move, T))]), "G6"))
+                g6.append((-tr, -hij, g.s[(i, j, symbol)]))
+                g6.append((-tr, -hij, g.s[(i + 1, j, write)]))
+                g6.append((-tr, -hij, g.h[(i + 1, _moved_head(j, move, T))]))
         pad = g.tr[(i, PAD)]
-        clauses.append(Clause((-pad, g.q[(i, m.accept)]), "G6"))
-        clauses.append(Clause((-pad, g.q[(i + 1, m.accept)]), "G6"))
+        g6.append((-pad, g.q[(i, m.accept)]))
+        g6.append((-pad, g.q[(i + 1, m.accept)]))
         for j in range(T + 1):
-            clauses.append(Clause((-pad, -g.h[(i, j)], g.h[(i + 1, j)]), "G6"))
+            g6.append((-pad, -g.h[(i, j)], g.h[(i + 1, j)]))
             for l in g.symbols:
-                clauses.append(Clause(
-                    (-pad, -g.s[(i, j, l)], g.s[(i + 1, j, l)]), "G6"))
+                g6.append((-pad, -g.s[(i, j, l)], g.s[(i + 1, j, l)]))
         # Frame: cells away from the head keep their symbol.
         for j in range(T + 1):
             for l in g.symbols:
-                clauses.append(Clause(
-                    (-g.s[(i, j, l)], g.h[(i, j)], g.s[(i + 1, j, l)]), "G6"))
+                g6.append((-g.s[(i, j, l)], g.h[(i, j)], g.s[(i + 1, j, l)]))
 
-    return LabeledFormula(g, clauses, input_str)
+    return LabeledFormula(g, dict(zip(GROUPS, groups)), input_str)
 
 
 def input_part(f: LabeledFormula) -> LabeledFormula:
     """Exactly the G4 clauses, over f's grid."""
-    return LabeledFormula(f.grid, [c for c in f.clauses if c.group == INPUT_GROUP],
-                          f.input)
+    return LabeledFormula(f.grid, {INPUT_GROUP: f.groups[INPUT_GROUP]}, f.input)
 
 
 def run_part(f: LabeledFormula) -> LabeledFormula:
     """All non-G4 clauses, over f's grid."""
-    return LabeledFormula(f.grid, [c for c in f.clauses if c.group != INPUT_GROUP],
-                          f.input)
+    return LabeledFormula(f.grid, {**f.groups, INPUT_GROUP: ()}, f.input)
 
 
 def machine_grid_signature(m: Machine, bound: int):
@@ -261,16 +257,17 @@ def concatenate(cy: LabeledFormula, cr: LabeledFormula) -> LabeledFormula:
     Raises GridIncompatibleError when the two grids (bound, state set,
     symbol set) differ; such a pair can never be satisfiable together.
     """
-    if any(c.group != INPUT_GROUP for c in cy.clauses):
+    if any(clauses for group, clauses in cy.groups.items() if group != INPUT_GROUP):
         raise ValueError("first argument must contain only G4 clauses")
-    if any(c.group == INPUT_GROUP for c in cr.clauses):
+    if cr.groups[INPUT_GROUP]:
         raise ValueError("second argument must contain no G4 clauses")
     if cy.grid.signature != cr.grid.signature:
         raise GridIncompatibleError(
             "formulas use entirely incompatible variable grids")
     # The signature fixes the Q/H/S blocks, the only variables G4 refers
     # to; the run part's grid also numbers its own Tr block.
-    return LabeledFormula(cr.grid, cy.clauses + cr.clauses, cy.input)
+    joined = {group: cy.groups[group] + cr.groups[group] for group in GROUPS}
+    return LabeledFormula(cr.grid, joined, cy.input)
 
 
 def _config_symbol(c: Configuration, j: int, blank: str) -> str:
@@ -343,7 +340,7 @@ def decode_assignment(f: LabeledFormula, a: Dict[int, bool]) -> ComputationHisto
     a right move off its last cell grows it in the simulator. f must hold
     every group: a model of an input or run part alone fixes no history.
     """
-    if not set(GROUPS) <= {c.group for c in f.clauses}:
+    if not all(f.groups.values()):
         raise ValueError("decode needs a formula with every clause group G1-G6")
     g = f.grid
 
@@ -369,7 +366,4 @@ def decode_assignment(f: LabeledFormula, a: Dict[int, bool]) -> ComputationHisto
 
 def clause_counts(f: LabeledFormula) -> Dict[str, int]:
     """Per-group clause counts over all six groups."""
-    counts = {group: 0 for group in GROUPS}
-    for clause in f.clauses:
-        counts[clause.group] += 1
-    return counts
+    return {group: len(clauses) for group, clauses in f.groups.items()}

@@ -5,8 +5,8 @@ branching order), an exhaustive truth-table oracle for cross-validation,
 and DIMACS I/O.
 
 A clause is a tuple of int literals all the way from the reduction to
-the solver: `to_cnf` hands over the reduction's own `Clause.literals`
-tuples, and `from_dimacs` cuts its clauses out of one tuple of tokens.
+the solver: `to_cnf` chains the reduction's own tuples group by group,
+and `from_dimacs` cuts its clauses out of one tuple of tokens.
 The solver keeps each binary clause as two entries of per-literal
 implication lists and copies only clauses of three or more literals into
 two-watched-literal lists. Each DIMACS direction has a per-call table
@@ -20,7 +20,7 @@ through `int` otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .reduction import LabeledFormula
@@ -93,9 +93,9 @@ class SolveResult:
 
 
 def to_cnf(f: LabeledFormula) -> CnfFormula:
-    """Strip the labels off a labeled formula; its clauses are the
-    reduction's own literal tuples, not copies."""
-    return CnfFormula(f.var_count, [c.literals for c in f.clauses])
+    """Strip the labels off a labeled formula: its groups' clauses in
+    GROUPS order, the reduction's own tuples, not copies."""
+    return CnfFormula(f.var_count, chain.from_iterable(f.groups.values()))
 
 
 def check_model(f: CnfFormula, assignment: Dict[int, bool]) -> bool:
@@ -292,7 +292,8 @@ def to_dimacs(f) -> str:
 
     Labeled formulas get `c var <id> = <label>` headers and a
     `c clause <n> group G<k>` comment before each clause. A literal that
-    is 0 or outside -var_count..var_count raises ValueError naming it.
+    is 0 or outside -var_count..var_count raises ValueError naming it, and
+    an empty clause raises ValueError("empty clause").
     """
     n = f.var_count
     # Literals are written from a table of their strings. It holds only
@@ -300,21 +301,26 @@ def to_dimacs(f) -> str:
     # another literal's string.
     lits = [*range(-n, 0), *range(1, n + 1)]
     name = dict(zip(lits, map(str, lits))).__getitem__
-    labeled = isinstance(f, LabeledFormula)
     lines: List[str] = []
-    if labeled:
+    if isinstance(f, LabeledFormula):
+        clauses = list(chain.from_iterable(f.groups.values()))
+        groups = chain.from_iterable(repeat(group, len(group_clauses))
+                                     for group, group_clauses in f.groups.items())
         lines.extend(f"c var {vid} = {label}" for vid, label in f.grid.labels())
-        lines.append(f"p cnf {n} {f.clause_count}")
-        rows = (f"c clause {idx} group {group}\n{' '.join(map(name, literals))} 0"
-                for idx, (literals, group) in enumerate(f.clauses, start=1))
+        lines.append(f"p cnf {n} {len(clauses)}")
+        # A labeled formula is not checked when it is built: an empty
+        # clause is looked up as the literal 0, which the table lacks.
+        rows = (f"c clause {idx} group {group}\n{' '.join(map(name, literals or (0,)))} 0"
+                for idx, group, literals in zip(count(1), groups, clauses))
     else:
-        lines.append(f"p cnf {n} {len(f.clauses)}")
-        rows = (" ".join(map(name, clause)) + " 0" for clause in f.clauses)
+        clauses = f.clauses
+        lines.append(f"p cnf {n} {len(clauses)}")
+        rows = (" ".join(map(name, clause)) + " 0" for clause in clauses)
     try:
         lines.extend(rows)
     except KeyError:
-        # The clause-by-clause check names the first bad literal.
-        _check_clauses([c.literals for c in f.clauses] if labeled else f.clauses, n)
+        # The clause-by-clause check names the first fault.
+        _check_clauses(clauses, n)
         raise
     return "\n".join(lines) + "\n"
 

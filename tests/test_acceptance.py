@@ -16,7 +16,7 @@ from tmsatlab import corpus as suite
 from tmsatlab import machine
 from tmsatlab.cli import main
 from tmsatlab.fixtures import fixture_machines
-from tmsatlab.reduction import Clause, reduce_machine
+from tmsatlab.reduction import LabeledFormula, reduce_machine
 
 
 @pytest.fixture(scope="module")
@@ -50,24 +50,30 @@ def test_criterion_3_partition_and_reassembly(corpus):
     print("\nPASS criterion 3: partition and reassembly on 336 formulas")
 
 
-def _reduce_with(monkeypatch, bad):
+def _reduce_with(monkeypatch, group, bad):
     def reduce_with_bad_clause(m, y, bound):
         f = reduce_machine(m, y, bound)
-        f.clauses.append(bad)
-        return f
+        with_bad = f.groups[group] + (bad,)
+        return LabeledFormula(f.grid, {**f.groups, group: with_bad}, f.input)
 
     monkeypatch.setattr(suite, "reduce_machine", reduce_with_bad_clause)
 
 
-@pytest.mark.parametrize("bad", [Clause((1, -1), "G1"), Clause((1,), "G7")],
-                         ids=["tautology", "unknown-group"])
-def test_criterion_3_flags_ill_formed_clauses(monkeypatch, bad):
-    _reduce_with(monkeypatch, bad)
+@pytest.mark.parametrize("group, bad", [("G1", (1, -1)), ("G4", (1, 2))],
+                         ids=["tautology", "non-unit-input"])
+def test_criterion_3_flags_ill_formed_clauses(monkeypatch, group, bad):
+    _reduce_with(monkeypatch, group, bad)
     assert suite.check_partition(suite.corpus_records(0, 2)) == (0, 24)
 
 
+def test_criterion_3_refuses_unknown_group(m_accept1):
+    grid = reduce_machine(m_accept1, "1", 1).grid
+    with pytest.raises(ValueError, match="^unknown clause group 'G7'$"):
+        LabeledFormula(grid, {"G1": ((1,),), "G7": ((1,),)}, "1")
+
+
 def test_criterion_3_refuses_empty_clause(monkeypatch):
-    _reduce_with(monkeypatch, Clause((), "G1"))
+    _reduce_with(monkeypatch, "G1", ())
     with pytest.raises(ValueError, match="empty clause"):
         suite.corpus_records(0, 2)
 

@@ -8,7 +8,7 @@ from tmsatlab import parity, sat
 from tmsatlab.cli import main
 from tmsatlab.fixtures import fixture_text
 from tmsatlab.machine import ORACLE_CONFIG_LIMIT
-from tmsatlab.reduction import REDUCTION_CLAUSE_LIMIT, input_part
+from tmsatlab.reduction import REDUCTION_CLAUSE_LIMIT, LabeledFormula, input_part
 
 
 @pytest.fixture()
@@ -262,8 +262,8 @@ class TestCorpusTest:
         # concatenate raise after five checks have passed.
         def leaky_input_part(f):
             cy = input_part(f)
-            cy.clauses.append(next(c for c in f.clauses if c.group == "G6"))
-            return cy
+            leak = f.groups["G6"][:1]
+            return LabeledFormula(cy.grid, {**cy.groups, "G6": leak}, cy.input)
 
         monkeypatch.setattr(parity, "input_part", leaky_input_part)
         assert main(["corpus-test"]) == 2

@@ -40,7 +40,8 @@ def single_entry(m_accept1):
 class TestBuild:
     def test_single_entry_library(self, single_entry):
         assert len(single_entry.library) == 1
-        assert all(c.group != "G4" for c in single_entry.library[0].clauses)
+        groups = single_entry.library[0].groups
+        assert [group for group, clauses in groups.items() if not clauses] == ["G4"]
         assert single_entry.incompatible_indices == ()
 
     def test_empty_library(self, m_accept1):

@@ -11,8 +11,10 @@ from tmsatlab.machine import (
     initial_configuration,
 )
 from tmsatlab.reduction import (
+    GROUPS,
     REDUCTION_CLAUSE_LIMIT,
     GridIncompatibleError,
+    LabeledFormula,
     MalformedModelError,
     ReductionError,
     clause_counts,
@@ -74,13 +76,12 @@ class TestReduce:
 class TestPartition:
     def test_input_part_is_four_unit_clauses(self, m_accept1):
         cy = input_part(reduce_machine(m_accept1, "1", 1))
-        assert cy.clause_count == 4
-        assert all(len(c.literals) == 1 for c in cy.clauses)
-        assert all(c.group == "G4" for c in cy.clauses)
+        assert cy.clause_count == len(cy.groups["G4"]) == 4
+        assert all(len(c) == 1 for c in cy.groups["G4"])
 
     def test_input_part_of_run_part_is_empty(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 1)
-        assert input_part(run_part(f)).clause_count == 0
+        assert input_part(run_part(f)).groups == {group: () for group in GROUPS}
 
     def test_partition_counts(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 2)
@@ -88,7 +89,10 @@ class TestPartition:
 
     def test_run_part_groups(self, m_parity):
         f = reduce_machine(m_parity, "11", 4)
-        assert {c.group for c in run_part(f).clauses} == {"G1", "G2", "G3", "G5", "G6"}
+        cr = run_part(f)
+        assert [group for group, clauses in cr.groups.items() if clauses] == [
+            "G1", "G2", "G3", "G5", "G6"]
+        assert cr.groups == {**f.groups, "G4": ()}
 
     def test_group_counts(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 1)
@@ -102,7 +106,7 @@ class TestConcatenate:
     def test_reassembly_is_original_multiset(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 2)
         back = concatenate(input_part(f), run_part(f))
-        assert Counter(back.clauses) == Counter(f.clauses)
+        assert back.groups == f.groups
 
     def test_compatible_same_machine_satisfiable(self, m_accept1):
         cy = input_part(reduce_machine(m_accept1, "1", 2))
@@ -149,10 +153,38 @@ class TestConcatenate:
 
     def test_argument_roles_enforced(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="first argument"):
             concatenate(run_part(f), run_part(f))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="second argument"):
             concatenate(input_part(f), f)
+
+
+class TestGroups:
+    def test_absent_groups_are_empty(self, m_accept1):
+        grid = reduce_machine(m_accept1, "1", 1).grid
+        f = LabeledFormula(grid, {"G6": [(1, 2)], "G1": [(3,)]}, "1")
+        assert list(f.groups) == list(GROUPS)
+        assert f.groups == {**{group: () for group in GROUPS},
+                            "G1": ((3,),), "G6": ((1, 2),)}
+
+    def test_groups_are_tuples(self, m_accept1):
+        f = reduce_machine(m_accept1, "1", 1)
+        assert all(type(clauses) is tuple for clauses in f.groups.values())
+        assert all(type(c) is tuple for c in to_cnf(f).clauses)
+        with pytest.raises(AttributeError):
+            f.clauses.append((1,))
+
+    def test_clause_view_matches_counts_and_cnf(self, m_parity):
+        # The benchmark's tracer counts groups and distinct run parts
+        # through the `clauses` view.
+        f = reduce_machine(m_parity, "11", 3)
+        g = reduce_machine(m_parity, "0", 3)
+        for h in (f, input_part(f), run_part(f), concatenate(input_part(g), run_part(f))):
+            counts = clause_counts(h)
+            assert Counter(c.group for c in h.clauses) == {
+                group: n for group, n in counts.items() if n}
+            assert [c.literals for c in h.clauses] == to_cnf(h).clauses
+            assert h.clause_count == sum(counts.values()) == len(h.clauses)
 
 
 def accept_at_start_machine():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tmsatlab.corpus import check_solver_agreement
 from tmsatlab.machine import accepts_within
-from tmsatlab.reduction import Clause, LabeledFormula, reduce_machine
+from tmsatlab.reduction import LabeledFormula, reduce_machine
 from tmsatlab.sat import (
     DIMACS_VAR_LIMIT,
     BruteForceGuardError,
@@ -200,9 +200,15 @@ class TestDimacs:
         # 0 and ±(n+1) have no entry in the table of literal strings.
         grid = reduce_machine(m_accept1, "1", 1).grid
         bad = side * (grid.var_count + 1)
-        clauses = [Clause((1,), "G1"), Clause((2, bad), "G6")]
-        f = LabeledFormula(grid, clauses, "1")
+        f = LabeledFormula(grid, {"G1": ((1,),), "G6": ((2, bad),)}, "1")
         with pytest.raises(ValueError, match=f"^literal {bad} out of range"):
+            to_dimacs(f)
+
+    def test_labeled_empty_clause_is_refused(self, m_accept1):
+        # Written as ` 0`, it would be text that from_dimacs refuses.
+        grid = reduce_machine(m_accept1, "1", 1).grid
+        f = LabeledFormula(grid, {"G1": ((1,), ()), "G6": ((2, 3),)}, "1")
+        with pytest.raises(ValueError, match="^empty clause$"):
             to_dimacs(f)
 
     def test_labeled_text_is_read_in_bulk(self, m_accept1):
