@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Thin adapters over the core modules: parse arguments, dispatch, render.
-Exit codes: 0 success / agreement, 1 failed boolean check, 2 usage,
-3 file or input-format errors, 10/20 sat/unsat for `solve`, 70 internal
-invariant breach.
+Exit codes: 0 success / agreement, 1 failed boolean check, 2 usage or
+a guard on the input's size, 3 file or input-format errors, 10/20
+sat/unsat for `solve`, 70 internal invariant breach (a model or a
+refutation that fails its check).
 """
 
 from __future__ import annotations
@@ -29,7 +30,16 @@ from .reduction import (
     reduce_machine,
     run_part,
 )
-from .sat import DimacsError, SatError, from_dimacs, solve_dpll, to_cnf, to_dimacs
+from .sat import (
+    DimacsError,
+    LearntLimitError,
+    SatError,
+    check_refutation,
+    from_dimacs,
+    solve_dpll,
+    to_cnf,
+    to_dimacs,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -90,6 +100,8 @@ def _cmd_solve(args) -> int:
         print("s SATISFIABLE")
         print("v " + " ".join(str(l) for l in lits) + " 0")
         return EXIT_SAT
+    if not check_refutation(f, result.learnt):
+        raise SatError("refutation fails verification")
     print("s UNSATISFIABLE")
     return EXIT_UNSAT
 
@@ -321,7 +333,8 @@ def main(argv=None) -> int:
     except _FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
-    except (MachineError, ReductionError, argument.ArgumentError, ValueError) as exc:
+    except (MachineError, ReductionError, argument.ArgumentError, LearntLimitError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, SatError) as exc:

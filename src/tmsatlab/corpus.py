@@ -40,7 +40,14 @@ from .reduction import (
     reduce_machine,
     run_part,
 )
-from .sat import CnfFormula, check_model, solve_bruteforce, solve_dpll, to_cnf
+from .sat import (
+    CnfFormula,
+    check_model,
+    check_refutation,
+    solve_bruteforce,
+    solve_dpll,
+    to_cnf,
+)
 
 CORPUS_INPUTS = ("", "0", "1", "01", "11", "110")
 CORPUS_BOUND = 4
@@ -214,11 +221,16 @@ def check_parity_machine(histories: Sequence[History], bases: Sequence[Machine],
 
 
 def check_solver_agreement(instances: int, seed: int) -> Tuple[int, int]:
+    """Seeded random CNFs on which DPLL and brute force give the same
+    verdict and, on an Unsat verdict, DPLL's learnt clauses pass
+    `check_refutation`."""
     rng = random.Random(seed)
     agree = 0
     for _ in range(instances):
         f = random_cnf(rng)
-        agree += solve_dpll(f).satisfiable == solve_bruteforce(f).satisfiable
+        result = solve_dpll(f)
+        agree += (result.satisfiable == solve_bruteforce(f).satisfiable
+                  and (result.satisfiable or check_refutation(f, result.learnt)))
     return agree, instances
 
 

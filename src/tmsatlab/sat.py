@@ -1,27 +1,37 @@
 """CNF satisfiability backend.
 
-A plain DPLL solver (unit propagation, chronological backtracking, fixed
-branching order), an exhaustive truth-table oracle for cross-validation,
-and DIMACS I/O.
+A DPLL solver with 1-UIP clause learning and non-chronological
+backjumping, a checker of the refutations it learns, an exhaustive
+truth-table oracle for cross-validation, and DIMACS I/O.
+
+The solver always decides the lowest-index unassigned variable, true
+first, and has no restarts, activity order, phase saving or clause
+deletion. Its first model is therefore the lexicographically greatest
+one, the model a plain DPLL search in that order finds; `solve_dpll`
+says why learning keeps it. Every Sat verdict leaves the module through
+a model check. An Unsat verdict carries its learnt clauses, which
+`check_refutation` replays by unit propagation outside the solver; the
+CLI's `solve` and the property suite run it.
 
 A clause is a tuple of int literals all the way from the reduction to
 the solver: `to_cnf` chains the reduction's own tuples group by group,
 and `from_dimacs` cuts its clauses out of one tuple of tokens.
 The solver keeps each binary clause as two entries of per-literal
 implication lists and copies only clauses of three or more literals into
-two-watched-literal lists. Each DIMACS direction has a per-call table
-of literals. The writer renders every literal from a table of the
-strings of the 2n literals, which has no entry for a bad literal. The
-reader converts tokens through a string-to-literal table of the 2n+1
-tokens -n..n only when the text has more clause lines than that, and
-through `int` otherwise.
+two-watched-literal lists; a learnt clause goes in the same way by its
+length, and a learnt unit backjumps to level 0. Each DIMACS direction
+has a per-call table of literals. The writer renders every literal from
+a table of the strings of the 2n literals, which has no entry for a bad
+literal. The reader converts tokens through a string-to-literal table of
+the 2n+1 tokens -n..n only when the text has more clause lines than
+that, and through `int` otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count, repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .reduction import LabeledFormula
 
@@ -29,6 +39,10 @@ BRUTE_FORCE_VAR_LIMIT = 24
 # The solver allocates per declared variable; the benchmark's largest
 # reduction has 10,039.
 DIMACS_VAR_LIMIT = 200_000
+# Total literals of the clauses one solve may learn, about 60 MiB of
+# lists and ints at this cap; the benchmark's search cases learn a few
+# hundred.
+LEARNT_LITERAL_LIMIT = 1_000_000
 # Lines that the bulk DIMACS read joins for one conversion pass: the
 # token strings of one run are held at once, not those of the whole text.
 _BULK_LINES = 4096
@@ -44,6 +58,10 @@ class DimacsError(SatError):
 
 class BruteForceGuardError(SatError):
     """Brute-force oracle asked to enumerate past its variable guard."""
+
+
+class LearntLimitError(SatError):
+    """The solver's learnt clauses grew past LEARNT_LITERAL_LIMIT."""
 
 
 @dataclass
@@ -80,16 +98,18 @@ def _check_clauses(clauses: Sequence[Sequence[int]], n: int):
 
 @dataclass
 class SolveResult:
+    """A verdict, the model of a Sat verdict, and what the search did:
+    decisions, conflicts (the last one of an Unsat verdict included),
+    propagations (literals pushed onto the trail), the learnt clauses in
+    order, and the most decision levels one backjump undid."""
+
     satisfiable: bool
     assignment: Optional[Dict[int, bool]] = None
-
-    @classmethod
-    def sat(cls, assignment: Dict[int, bool]) -> "SolveResult":
-        return cls(True, assignment)
-
-    @classmethod
-    def unsat(cls) -> "SolveResult":
-        return cls(False, None)
+    decisions: int = 0
+    conflicts: int = 0
+    propagations: int = 0
+    learnt: Tuple[Tuple[int, ...], ...] = ()
+    max_backjump: int = 0
 
 
 def to_cnf(f: LabeledFormula) -> CnfFormula:
@@ -106,21 +126,36 @@ def check_model(f: CnfFormula, assignment: Dict[int, bool]) -> bool:
     return not any(map(true.isdisjoint, f.clauses))
 
 
-def _verified(f: CnfFormula, assignment: Dict[int, bool]) -> SolveResult:
+def _verified(f: CnfFormula, assignment: Dict[int, bool], **stats) -> SolveResult:
     # Internal check before any Sat verdict leaves the module.
     if not check_model(f, assignment):
         raise SatError("model fails verification")
-    return SolveResult.sat(assignment)
+    return SolveResult(True, assignment, **stats)
 
 
 def solve_dpll(f: CnfFormula) -> SolveResult:
-    """DPLL with unit propagation and chronological backtracking.
+    """DPLL with unit propagation, 1-UIP clause learning and
+    non-chronological backjumping.
 
-    Deterministic: branches on the lowest-index unassigned variable,
-    trying true first, so the first model found is the lexicographically
-    greatest one (variable 1 most significant, true above false).
-    Propagation reaches the same fixpoint or conflict in any order, so
-    how clauses are stored does not change a decision or a model.
+    Deterministic: it decides the lowest-index unassigned variable,
+    true first, with no restarts, activity order, phase saving or clause
+    deletion, so the first model found is the lexicographically greatest
+    one, G (variable 1 most significant, true above false). Learnt
+    clauses follow from the formula, so G satisfies them as it does the
+    formula's clauses. On the trail of the model found, the first literal
+    that differs from G therefore cannot be implied by a clause whose
+    other literals come before it. It would be a decision setting some
+    variable true that G sets false, with every lower variable already
+    set as in G, and the model found would be greater than G. So no
+    literal differs. Propagation reaches the same fixpoint or conflict in
+    any order, so how clauses are stored does not change a decision or a
+    model.
+
+    The result carries the learnt clauses in the order they were
+    learnt; for an Unsat verdict they, then the empty clause, each follow
+    from the formula and the clauses before them by unit propagation,
+    which `check_refutation` replays. Their total length is capped at
+    LEARNT_LITERAL_LIMIT literals.
     """
     n = f.var_count
     # val[lit] (True, False or None for unassigned), implied[lit] and
@@ -129,9 +164,15 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     # make true once lit is true; watches[lit] lists the clauses of three
     # or more literals that watch lit. Both are None for a literal with
     # nothing to list, so a large, sparse formula allocates little.
+    # level[lit] and reason[lit] describe a true literal on the trail: its
+    # decision level, and the literal that implied it through a binary
+    # clause, the longer clause that implied it, or None (a decision or a
+    # unit).
     val: List[Optional[bool]] = [None] * (2 * n + 1)
     implied: List[Optional[List[int]]] = [None] * (2 * n + 1)
     watches: List[Optional[List[List[int]]]] = [None] * (2 * n + 1)
+    level: List[int] = [0] * (2 * n + 1)
+    reason: List[Union[int, List[int], None]] = [None] * (2 * n + 1)
     units: List[int] = []
     binaries: List[Tuple[int, ...]] = []
     longs: List[List[int]] = []
@@ -165,23 +206,37 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
         watches[clause[0]].append(clause)
         watches[clause[1]].append(clause)
     trail: List[int] = []
+    # Per decision level d >= 1, at index d - 1: the trail length before
+    # its decision, and its decision variable.
+    marks: List[int] = []
+    dvars: List[int] = []
 
-    def propagate(pending: List[int]) -> bool:
-        """Make each pending literal true and propagate; False on conflict."""
+    def propagate(pending: List[int], why: list) -> Optional[Sequence[int]]:
+        """Make each pending literal true, implied by the reason at the
+        same index of `why`, and propagate; the clause whose literals are
+        all false on a conflict, else None."""
+        d = len(marks)
         qi = 0
         while qi < len(pending):
             lit = pending[qi]
-            qi += 1
             if val[lit] is not None:
                 if val[lit]:
+                    qi += 1
                     continue
-                return False
+                r = why[qi]
+                if r is None:  # a unit clause
+                    return (lit,)
+                return (lit, -r) if type(r) is int else r
             val[lit] = True
             val[-lit] = False
+            level[lit] = d
+            reason[lit] = why[qi]
+            qi += 1
             trail.append(lit)
             imp = implied[lit]
             if imp:
                 pending += imp
+                why += [lit] * len(imp)
             neg = -lit
             watchers = watches[neg]
             if not watchers:
@@ -208,44 +263,163 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
                     if val[other] is False:
                         kept.extend(watchers[pos + 1:])
                         watches[neg] = kept
-                        return False
+                        return clause
                     pending.append(other)
+                    why.append(clause)
             watches[neg] = kept
-        return True
+        return None
 
-    def backtrack_to(mark: int):
-        for lit in trail[mark:]:
-            val[lit] = val[-lit] = None
-        del trail[mark:]
+    def analyze(conflict: Sequence[int]) -> List[int]:
+        """The 1-UIP clause of a conflict above level 0: the negated
+        unique implication point of the current level first, then the
+        conflict's false literals of lower levels that it rests on."""
+        d = len(marks)
+        seen = set()  # true literals whose negation is resolved or kept
+        lower: List[int] = []
+        unresolved = 0  # seen literals of level d not yet resolved on
+        i = len(trail)
+        lits: Sequence[int] = conflict
+        while True:
+            for q in lits:
+                t = -q
+                if t not in seen and level[t]:
+                    seen.add(t)
+                    if level[t] == d:
+                        unresolved += 1
+                    else:
+                        lower.append(q)
+            i -= 1
+            while trail[i] not in seen:
+                i -= 1
+            p = trail[i]
+            unresolved -= 1
+            if not unresolved:
+                return [-p, *lower]
+            r = reason[p]
+            lits = (-r,) if type(r) is int else [q for q in r if q != p]
 
-    if not propagate(units):
-        return SolveResult.unsat()
+    learnt: List[Tuple[int, ...]] = []
+    learnt_literals = decisions = conflicts = undone = max_backjump = 0
 
-    # Decision stack entries: (trail length before the decision, var, flipped).
-    stack: List[Tuple[int, int, bool]] = []
+    def stats() -> dict:
+        return dict(decisions=decisions, conflicts=conflicts,
+                    propagations=undone + len(trail), learnt=tuple(learnt),
+                    max_backjump=max_backjump)
+
+    pending: List[int] = units
+    why: list = [None] * len(units)
     # Every variable below `var` is assigned: the scan for the next
-    # decision resumes here, and backtracking to a decision on dvar keeps
-    # everything assigned before it, so the scan restarts at dvar.
+    # decision resumes here. A backjump to level b keeps everything
+    # assigned before the decision of level b + 1, so the scan resumes at
+    # that decision's variable.
     var = 1
     while True:
-        while var <= n and val[var] is not None:
-            var += 1
-        if var > n:
-            return _verified(f, dict(zip(range(1, n + 1), val[1:n + 1])))
-        stack.append((len(trail), var, False))
-        ok = propagate([var])
-        while not ok:
-            # Chronological backtracking: flip the deepest untried decision.
-            while stack and stack[-1][2]:
-                mark, _, _ = stack.pop()
-                backtrack_to(mark)
-            if not stack:
-                return SolveResult.unsat()
-            mark, dvar, _ = stack.pop()
-            backtrack_to(mark)
-            stack.append((mark, dvar, True))
-            var = dvar
-            ok = propagate([-dvar])
+        conflict = propagate(pending, why)
+        if conflict is None:
+            while var <= n and val[var] is not None:
+                var += 1
+            if var > n:
+                return _verified(f, dict(zip(range(1, n + 1), val[1:n + 1])), **stats())
+            decisions += 1
+            marks.append(len(trail))
+            dvars.append(var)
+            pending, why = [var], [None]
+            continue
+        conflicts += 1
+        if not marks:
+            return SolveResult(False, **stats())
+        clause = analyze(conflict)
+        learnt.append(tuple(clause))
+        learnt_literals += len(clause)
+        if learnt_literals > LEARNT_LITERAL_LIMIT:
+            raise LearntLimitError(
+                f"learnt clauses exceed LEARNT_LITERAL_LIMIT "
+                f"({LEARNT_LITERAL_LIMIT} literals)")
+        # Backjump to the highest level among the lower literals, where
+        # the clause asserts its first literal.
+        uip = clause[0]
+        if len(clause) > 1:
+            # The literal of the highest level goes to the second slot,
+            # the other watch of a long clause.
+            top = max(range(1, len(clause)), key=lambda k: level[-clause[k]])
+            clause[1], clause[top] = clause[top], clause[1]
+            b = level[-clause[1]]
+        else:
+            b = 0
+        max_backjump = max(max_backjump, len(marks) - b)
+        mark = marks[b]
+        for lit in trail[mark:]:
+            val[lit] = val[-lit] = None
+        undone += len(trail) - mark
+        del trail[mark:]
+        var = dvars[b]
+        del marks[b:], dvars[b:]
+        if len(clause) == 1:
+            pending, why = [uip], [None]
+        elif len(clause) == 2:
+            q = clause[1]
+            for lit, imp in ((-q, uip), (-uip, q)):
+                if implied[lit] is None:
+                    implied[lit] = []
+                implied[lit].append(imp)
+            pending, why = [uip], [-q]
+        else:
+            for lit in clause[:2]:
+                if watches[lit] is None:
+                    watches[lit] = []
+                watches[lit].append(clause)
+            pending, why = [uip], [clause]
+
+
+def check_refutation(f: CnfFormula, learnt: Sequence[Sequence[int]]) -> bool:
+    """Whether each clause of `learnt`, then the empty clause, is a
+    reverse unit propagation (RUP) consequence of the formula's clauses
+    and the learnt clauses before it: making all its literals false and
+    propagating the units this leaves reaches a clause with every literal
+    false.
+
+    It shares no code with the solver: each clause is a set of literals
+    (a repeated literal counts once) with a count of the literals not yet
+    false, and every step propagates afresh from the formula's units.
+    """
+    clauses: List[frozenset] = []
+    occurs: Dict[int, List[int]] = {}  # literal -> indices of clauses holding it
+
+    def add(clause: Sequence[int]):
+        lits = frozenset(clause)
+        for lit in lits:
+            occurs.setdefault(lit, []).append(len(clauses))
+        clauses.append(lits)
+
+    def implied_by_propagation(lemma: Sequence[int]) -> bool:
+        free = list(map(len, clauses))  # literals not yet false, per clause
+        true = set()
+        queue = [-lit for lit in lemma]
+        queue += [next(iter(c)) for c in clauses if len(c) == 1]
+        while queue:
+            lit = queue.pop()
+            if lit in true:
+                continue
+            if -lit in true:
+                return True
+            true.add(lit)
+            for i in occurs.get(-lit, ()):
+                free[i] -= 1
+                if free[i] == 0:
+                    return True
+                if free[i] == 1:
+                    # The one literal not yet false is either true, and the
+                    # clause is satisfied, or free, and now implied.
+                    queue += [q for q in clauses[i] if -q not in true]
+        return False
+
+    for clause in f.clauses:
+        add(clause)
+    for lemma in learnt:
+        if not implied_by_propagation(lemma):
+            return False
+        add(lemma)
+    return implied_by_propagation(())
 
 
 def solve_bruteforce(f: CnfFormula) -> SolveResult:
@@ -281,7 +455,7 @@ def solve_bruteforce(f: CnfFormula) -> SolveResult:
             clause_mask |= m if lit > 0 else (full ^ m)
         formula_mask &= clause_mask
         if not formula_mask:
-            return SolveResult.unsat()
+            return SolveResult(False)
     first = (formula_mask & -formula_mask).bit_length() - 1
     assignment = {v: bool((first >> (n - v)) & 1) for v in range(1, n + 1)}
     return _verified(f, assignment)

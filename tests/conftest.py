@@ -1,6 +1,7 @@
 import pytest
 
 from tmsatlab.fixtures import FIXTURE_NAMES, load_fixture
+from tmsatlab.sat import CnfFormula
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +45,16 @@ rule: q0 _ -> q0 1 R
 rule: q0 0 -> q0 0 R
 rule: q0 1 -> q0 1 R
 """
+
+
+@pytest.fixture(scope="session")
+def pigeonhole():
+    """4 pigeons in 3 holes: every pigeon in some hole, no two in one.
+    Unsatisfiable, and not refuted by unit propagation alone, so the
+    solver must learn clauses to refute it."""
+    pigeons, holes = 4, 3
+    var = {(p, h): p * holes + h + 1 for p in range(pigeons) for h in range(holes)}
+    clauses = [tuple(var[p, h] for h in range(holes)) for p in range(pigeons)]
+    clauses += [(-var[p, h], -var[q, h]) for h in range(holes)
+                for p in range(pigeons) for q in range(p + 1, pigeons)]
+    return CnfFormula(pigeons * holes, clauses)

@@ -1,10 +1,11 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from tmsatlab import parity, sat
+from tmsatlab import cli, parity, sat
 from tmsatlab.cli import main
 from tmsatlab.fixtures import fixture_text
 from tmsatlab.machine import ORACLE_CONFIG_LIMIT
@@ -117,6 +118,42 @@ class TestSolve:
         monkeypatch.setattr(sat, "check_model", lambda f, assignment: False)
         assert main(["solve", str(cnf)]) == 70
         assert "model fails verification" in capsys.readouterr().err
+
+
+class TestSolveRefutation:
+    """`solve` checks the learnt clauses of an Unsat verdict before it
+    prints it."""
+
+    @pytest.fixture()
+    def php_file(self, tmp_path, pigeonhole):
+        path = tmp_path / "php.cnf"
+        path.write_text(sat.to_dimacs(pigeonhole))
+        return str(path)
+
+    def test_checked_refutation(self, php_file, capsys):
+        assert main(["solve", php_file]) == 20
+        assert capsys.readouterr().out == "s UNSATISFIABLE\n"
+
+    def test_mutated_refutation_is_internal_error(self, php_file, capsys, monkeypatch):
+        solve = cli.solve_dpll
+
+        def mutated(f):
+            # The first learnt clause loses its asserting literal.
+            result = solve(f)
+            return replace(result, learnt=(result.learnt[0][1:], *result.learnt[1:]))
+
+        monkeypatch.setattr(cli, "solve_dpll", mutated)
+        assert main(["solve", php_file]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refutation fails verification" in captured.err
+
+    def test_learnt_limit_is_usage_error(self, php_file, capsys, monkeypatch):
+        monkeypatch.setattr(sat, "LEARNT_LITERAL_LIMIT", 2)
+        assert main(["solve", php_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "LEARNT_LITERAL_LIMIT" in captured.err
 
 
 class TestVerify:

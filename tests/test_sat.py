@@ -76,11 +76,11 @@ class TestBinaryClauses:
         assert not solve_bruteforce(f).satisfiable
 
     def test_binary_conflict_after_a_decision_flips_it(self):
-        # Deciding 1 true implies 2, then 3, then -1: the decision flips,
-        # and the search goes on to decide 2 and 3 true.
+        # Deciding 1 true implies 2, then 3, then -1: the conflict learns
+        # the unit -1, and the search goes on to decide 2 true, implying 3.
         f = CnfFormula(3, [(-1, 2), (-2, 3), (-3, -1)])
         assert solve_dpll(f).assignment == {1: False, 2: True, 3: True}
-        # Both halves of the flipped decision's conflict are binary.
+        # Both clauses of the conflict under the decision are binary.
         f = CnfFormula(2, [(-1, 2), (-1, -2)])
         assert solve_dpll(f).assignment == {1: False, 2: True}
 
