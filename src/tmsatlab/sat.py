@@ -147,9 +147,9 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     other literals come before it. It would be a decision setting some
     variable true that G sets false, with every lower variable already
     set as in G, and the model found would be greater than G. So no
-    literal differs. Propagation reaches the same fixpoint or conflict in
-    any order, so how clauses are stored does not change a decision or a
-    model.
+    literal differs. The order of propagation, and so how clauses are
+    stored, can change which conflict is found, the clauses learnt and
+    the counts, but not the model.
 
     The result carries the learnt clauses in the order they were
     learnt; for an Unsat verdict they, then the empty clause, each follow
