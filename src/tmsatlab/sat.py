@@ -16,22 +16,27 @@ CLI's `solve` and the property suite run it.
 A clause is a tuple of int literals all the way from the reduction to
 the solver: `to_cnf` chains the reduction's own tuples group by group,
 and `from_dimacs` cuts its clauses out of one tuple of tokens.
-The solver keeps each binary clause as two entries of per-literal
-implication lists and copies only clauses of three or more literals into
-two-watched-literal lists; a learnt clause goes in the same way by its
-length, and a learnt unit backjumps to level 0. Each DIMACS direction
-has a per-call table of literals. The writer renders every literal from
-a table of the strings of the 2n literals, which has no entry for a bad
-literal. The reader converts tokens through a string-to-literal table of
-the 2n+1 tokens -n..n only when the text has more clause lines than
-that, and through `int` otherwise.
+The solver indexes the formula in one pass over its clauses. A unit is
+propagated first, a binary clause becomes two entries of per-literal
+implication lists, and only a clause of three or more literals is copied,
+into two-watched-literal lists. A clause of two or three literals is
+tested for a repeated variable by comparing its literals, a longer one
+by the set of its variables; a clause that repeats one is indexed
+without the repeats, and a tautology not at all. A learnt clause goes in
+by its length in the same way, and a learnt unit backjumps to level 0.
+
+Each DIMACS direction has a per-call table of literals. The writer
+renders every literal from a table of the strings of the 2n literals,
+which has no entry for a bad literal. The reader converts tokens
+through a string-to-literal table of the 2n+1 tokens -n..n only when
+the text has more clause lines than that, and through `int` otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count, repeat
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .reduction import LabeledFormula
 
@@ -162,8 +167,10 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     # watches[lit] are indexed by the literal itself: -v wraps into the
     # upper half. implied[lit] lists the literals that binary clauses
     # make true once lit is true; watches[lit] lists the clauses of three
-    # or more literals that watch lit. Both are None for a literal with
-    # nothing to list, so a large, sparse formula allocates little.
+    # or more literals that watch lit. `_index` fills both in one pass
+    # over the clauses and makes a list only for a literal it puts
+    # something on, or that a watch can move to; the rest stay None, so a
+    # large, sparse formula allocates little.
     # level[lit] and reason[lit] describe a true literal on the trail: its
     # decision level, and the literal that implied it through a binary
     # clause, the longer clause that implied it, or None (a decision or a
@@ -174,37 +181,7 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     level: List[int] = [0] * (2 * n + 1)
     reason: List[Union[int, List[int], None]] = [None] * (2 * n + 1)
     units: List[int] = []
-    binaries: List[Tuple[int, ...]] = []
-    longs: List[List[int]] = []
-    for clause in f.clauses:
-        k = len(clause)
-        if k > 2 and len(set(map(abs, clause))) < k:
-            # A variable occurs twice in a clause of three or more.
-            clause = tuple(dict.fromkeys(clause))
-            if any(-lit in clause for lit in clause):
-                continue  # tautology, always satisfied
-            k = len(clause)
-        if k == 2:
-            a, b = clause
-            if a == b:
-                units.append(a)
-            elif a != -b:  # (a, -a) is always satisfied
-                binaries.append(clause)
-        elif k > 2:
-            longs.append(list(clause))
-        else:
-            units.append(clause[0])
-    for lit in set(chain.from_iterable(binaries)):
-        implied[-lit] = []
-    for a, b in binaries:
-        implied[-a].append(b)
-        implied[-b].append(a)
-    # A watch can move to any literal of its clause.
-    for lit in set(chain.from_iterable(longs)):
-        watches[lit] = []
-    for clause in longs:
-        watches[clause[0]].append(clause)
-        watches[clause[1]].append(clause)
+    _index(f.clauses, units, implied, watches)
     trail: List[int] = []
     # Per decision level d >= 1, at index d - 1: the trail length before
     # its decision, and its decision variable.
@@ -369,6 +346,74 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
                     watches[lit] = []
                 watches[lit].append(clause)
             pending, why = [uip], [clause]
+
+
+def _distinct(clause: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """A clause that repeats a variable, each literal once, in a list of
+    one clause; no clause for a tautology (a variable and its negation)."""
+    clause = tuple(dict.fromkeys(clause))
+    return [] if any(-lit in clause for lit in clause) else [clause]
+
+
+def _index(clauses: Iterable[Tuple[int, ...]], units: List[int],
+           implied: List[Optional[List[int]]],
+           watches: List[Optional[List[List[int]]]]):
+    """Put each clause where `solve_dpll` reads it, in one pass in clause
+    order: a unit on `units`, a binary (a, b) as b on implied[-a] and a
+    on implied[-b], a longer clause, copied to a list, on the watch lists
+    of its first two literals. A list is made when first used, and every
+    literal of a longer clause gets a watch list, since a watch can move
+    to any of them. A clause of two or three literals is tested for a
+    repeated variable literal by literal, a longer one by the set of its
+    variables; one that repeats is indexed as `_distinct` leaves it."""
+    for clause in clauses:
+        k = len(clause)
+        if k == 3:
+            a, b, c = clause
+            if a == b or a == -b or a == c or a == -c or b == c or b == -c:
+                _index(_distinct(clause), units, implied, watches)
+                continue
+            if watches[c] is None:
+                watches[c] = []
+            clause = [a, b, c]
+        elif k == 2:
+            a, b = clause
+            if a == b or a == -b:
+                _index(_distinct(clause), units, implied, watches)
+                continue
+            entries = implied[-a]
+            if entries is None:
+                implied[-a] = [b]
+            else:
+                entries.append(b)
+            entries = implied[-b]
+            if entries is None:
+                implied[-b] = [a]
+            else:
+                entries.append(a)
+            continue
+        elif k == 1:
+            units.append(clause[0])
+            continue
+        elif len(set(map(abs, clause))) < k:
+            _index(_distinct(clause), units, implied, watches)
+            continue
+        else:
+            for lit in clause[2:]:
+                if watches[lit] is None:
+                    watches[lit] = []
+            a, b = clause[:2]
+            clause = list(clause)
+        entries = watches[a]
+        if entries is None:
+            watches[a] = [clause]
+        else:
+            entries.append(clause)
+        entries = watches[b]
+        if entries is None:
+            watches[b] = [clause]
+        else:
+            entries.append(clause)
 
 
 def check_refutation(f: CnfFormula, learnt: Sequence[Sequence[int]]) -> bool:

@@ -2,6 +2,7 @@
 learns and `check_refutation`, which replays them, and the guard on the
 learnt clauses."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -119,6 +120,13 @@ class TestCounters:
     def test_search_cases_take_at_most_100_conflicts(self, search_results):
         assert sum(r.conflicts for r in search_results.values()) <= 100
 
+    def test_pigeonhole_is_pinned(self, pigeonhole):
+        r = solve_dpll(pigeonhole)
+        assert (r.satisfiable, r.decisions, r.conflicts, r.propagations, r.max_backjump) == \
+            (False, 8, 9, 75, 1)
+        assert r.learnt == ((-2, 7, 4), (-3, 7, 4), (-5, 10, 7), (-1,), (-3, 8, 5),
+                            (-4, 11, 8), (-2,), (-4,))
+
     def test_level_zero_refutation(self):
         # The units fail before any decision: one conflict, nothing learnt.
         r = solve_dpll(CnfFormula(3, [(1, 1), (-1, 2), (-2, 3), (-3, -1)]))
@@ -167,6 +175,28 @@ class TestCheckRefutation:
     def test_satisfiable_formula_has_no_refutation(self):
         f = CnfFormula(2, [(1, 2), (-1, 2)])
         assert not check_refutation(f, [(2,)])
+
+
+def test_learnt_clause_watched_on_a_literal_with_no_list():
+    # The pigeonhole with each pigeon's clause guarded by -1: deciding 1
+    # true sets off the search, which learns clauses of four literals
+    # whose asserting literal, a pigeon-hole variable made false, occurs
+    # only in binary clauses of the formula, so no watch list held it.
+    # The search ends by learning -1, and later watches move on the
+    # learnt clauses.
+    pigeons, holes = 4, 3
+    var = {(p, h): p * holes + h + 2 for p in range(pigeons) for h in range(holes)}
+    clauses = [(-1, *(var[p, h] for h in range(holes))) for p in range(pigeons)]
+    clauses += [(-var[p, h], -var[q, h]) for h in range(holes)
+                for p in range(pigeons) for q in range(p + 1, pigeons)]
+    f = CnfFormula(pigeons * holes + 1, clauses)
+    r = solve_dpll(f)
+    watched = {lit for c in clauses if len(c) > 2 for lit in c}
+    assert any(len(c) > 2 and c[0] not in watched for c in r.learnt)
+    assert r.satisfiable and r.learnt[-1] == (-1,)
+    flipped = CnfFormula(f.var_count, [[-lit for lit in c] for c in f.clauses])
+    first = solve_bruteforce(flipped).assignment
+    assert r.assignment == {v: not x for v, x in first.items()}
 
 
 class TestLearntLimit:
@@ -228,3 +258,33 @@ def test_learning_keeps_verdicts_models_and_refutations():
 
     check()
     assert all(seen.values()), seen
+
+
+def seeded_threshold_cnfs(seed: int, count: int):
+    """`count` CNFs in the mix of `threshold_cnfs`, drawn from
+    random.Random(seed), so they stay the same whatever Hypothesis does."""
+    rng = random.Random(seed)
+    lengths = (3,) * 30 + (1, 2, 2, 4, 4, 5)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        literals = [*range(-n, 0), *range(1, n + 1)]
+        yield CnfFormula(n, [[rng.choice(literals) for _ in range(rng.choice(lengths))]
+                             for _ in range(rng.randint(round(3.5 * n), 5 * n))])
+
+
+def test_seeded_results_are_pinned():
+    # How the clauses are stored sets the order of propagation, and with
+    # it the conflicts found, the clauses learnt and every count, though
+    # not the model; the digest of every field of 400 results pins them.
+    digest = hashlib.sha256()
+    satisfiable = learning = 0
+    for f in seeded_threshold_cnfs(14, 400):
+        r = solve_dpll(f)
+        model = sorted(r.assignment.items()) if r.satisfiable else None
+        digest.update(repr((r.satisfiable, model, r.decisions, r.conflicts, r.propagations,
+                            r.learnt, r.max_backjump)).encode())
+        satisfiable += r.satisfiable
+        learning += bool(r.learnt)
+    assert (satisfiable, learning) == (244, 133)
+    assert digest.hexdigest() == \
+        "7e08d90b8519db9ca774f488e9c17d51703fe9bc384683ae3c819d095330e453"

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -97,18 +98,66 @@ def small_cnfs(draw):
                                        min_size=k, max_size=k)))
 
 
+def _greatest(f: CnfFormula):
+    """The brute-force oracle's verdict, and for a Sat verdict the
+    greatest model (variable 1 most significant, true above false): the
+    complement of its first model of the formula with every literal
+    negated."""
+    if not solve_bruteforce(f).satisfiable:
+        return False, None
+    flipped = CnfFormula(f.var_count, [[-lit for lit in c] for c in f.clauses])
+    first = solve_bruteforce(flipped).assignment
+    return True, {v: not x for v, x in first.items()}
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_cnfs())
 def test_dpll_model_is_the_lexicographically_greatest(f):
-    # The greatest model (variable 1 most significant, true above false)
-    # is the complement of the brute-force oracle's first model of the
-    # formula with every literal negated.
     result = solve_dpll(f)
-    assert result.satisfiable == solve_bruteforce(f).satisfiable
-    if result.satisfiable:
-        flipped = CnfFormula(f.var_count, [[-lit for lit in c] for c in f.clauses])
-        first = solve_bruteforce(flipped).assignment
-        assert result.assignment == {v: not x for v, x in first.items()}
+    assert (result.satisfiable, result.assignment) == _greatest(f)
+
+
+def _fields(result):
+    return (result.satisfiable, result.assignment, result.decisions, result.conflicts,
+            result.propagations, result.learnt, result.max_backjump)
+
+
+class TestClauseIndex:
+    """The set-up of `solve_dpll`: each clause goes in by its length, a
+    clause that repeats a variable goes in without the repeats, and a
+    watch can move to any literal of a clause of three or more."""
+
+    @pytest.mark.parametrize("clause, distinct", [
+        # Variable 1 twice in a clause of three, at positions (0, 1),
+        # (0, 2) and (1, 2): with one sign the clause is cut to its two
+        # distinct literals, with both it is a tautology and dropped (None).
+        ((1, 1, -2), (1, -2)), ((1, -2, 1), (1, -2)), ((-2, 1, 1), (-2, 1)),
+        ((1, -1, -2), None), ((1, -2, -1), None), ((-2, 1, -1), None),
+        ((1, 2, -3, 2), (1, 2, -3)), ((2, -3, 1, -4, 3), None),
+        ((1, 1), (1,)), ((1, -1), None),
+    ], ids=["3-at-01", "3-at-02", "3-at-12", "3-at-01-tautology", "3-at-02-tautology",
+            "3-at-12-tautology", "4", "5-tautology", "2", "2-tautology"])
+    def test_repeated_variable(self, clause, distinct):
+        # Under each choice of a positive unit, a negative unit or none for
+        # each variable, one more than the clause has: the verdict and model
+        # of the brute-force oracle, and every field of the result for the
+        # clause cut to its distinct literals or dropped.
+        n = max(map(abs, clause)) + 1
+        for signs in itertools.product((0, 1, -1), repeat=n):
+            units = [(s * v,) for v, s in enumerate(signs, 1) if s]
+            f = CnfFormula(n, [clause, *units])
+            result = solve_dpll(f)
+            assert (result.satisfiable, result.assignment) == _greatest(f)
+            cut = CnfFormula(n, [distinct, *units] if distinct else units)
+            assert _fields(result) == _fields(solve_dpll(cut))
+
+    @pytest.mark.parametrize("clause", [(1, 2, 3), (1, 2, 3, 4)])
+    def test_watch_moves_past_the_first_two_literals(self, clause):
+        # The units make every literal but the last false in turn, so a
+        # watch moves onto literals that occur only at position 2 or later.
+        *rest, last = clause
+        f = CnfFormula(last, [clause, *((-v,) for v in rest)])
+        assert solve_dpll(f).assignment == {**dict.fromkeys(rest, False), last: True}
 
 
 def _reference_formula_error(n, clauses):
