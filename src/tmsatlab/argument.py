@@ -248,8 +248,7 @@ def _guarded_atoms(formulas: List[PropFormula]) -> List[str]:
 
 
 def is_tautology(f: PropFormula) -> bool:
-    names = _guarded_atoms([f])
-    return all(eval_prop(f, a) for a in _assignments(names))
+    return not is_satisfiable([Not(f)])
 
 
 def is_satisfiable(formulas: List[PropFormula]) -> bool:

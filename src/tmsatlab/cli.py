@@ -25,6 +25,7 @@ from .machine import (
 )
 from .reduction import (
     ReductionError,
+    _check_bound,
     encode_history,
     input_part,
     reduce_machine,
@@ -107,6 +108,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_bound(args.bound)
     m = _load_machine(args.machine)
     accepted, _ = accepts_within(m, args.input, args.bound)
     result = solve_dpll(to_cnf(reduce_machine(m, args.input, args.bound)))
@@ -118,6 +120,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_history(args) -> int:
+    if args.action == "encode":
+        _check_bound(args.bound)
     m = _load_machine(args.machine)
     accepted, witness = accepts_within(m, args.input, args.bound)
     if not accepted:
@@ -172,6 +176,7 @@ def _load_library(dir_path: str, bound: int, base):
 
 
 def _cmd_kim(args) -> int:
+    _check_bound(args.bound)
     base = _load_machine(args.base)
     histories, names = _load_library(args.library, args.bound, base)
     pm = parity.build_parity_machine(histories, args.bound, base)

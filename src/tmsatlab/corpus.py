@@ -95,7 +95,7 @@ def _certified(f: LabeledFormula, cnf: CnfFormula, model: Dict[int, bool]) -> bo
     within the bound, every step licensed) and induces a model of the same
     formula, the one `encode_history` would build again."""
     history = decode_assignment(f, model)
-    rule_ids = check_history(f.machine, history, f.bound)
+    rule_ids = check_history(f.grid.machine, history, f.grid.bound)
     return check_model(cnf, induced_assignment(history, f.grid, rule_ids))
 
 

@@ -280,55 +280,18 @@ def step(m: Machine, c: Configuration) -> List[Configuration]:
     return out
 
 
-def enumerate_accepting_histories(
-        m: Machine, input_str: str, bound: int, limit: int) -> List[ComputationHistory]:
-    """All accepting histories of at most `bound` transitions, breadth-first,
-    ties broken by rule declaration order, truncated at `limit`.
-
-    The search runs over *paths* with no visited set, so its cost grows
-    exponentially in `bound` on a branching machine. It is kept as the
-    path-by-path reference that the tests compare `accepts_within` with.
-    """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    init = initial_configuration(m, input_str)
-    out: List[ComputationHistory] = []
-    if init.state == m.accept:
-        out.append(ComputationHistory((init,), input_str))
-        return out[:limit]
-    frontier: List[Tuple[Configuration, ...]] = [(init,)]
-    for _ in range(bound):
-        nxt: List[Tuple[Configuration, ...]] = []
-        for path in frontier:
-            for nc in step(m, path[-1]):
-                new_path = path + (nc,)
-                if nc.state == m.accept:
-                    out.append(ComputationHistory(new_path, input_str))
-                    if len(out) >= limit:
-                        return out
-                else:
-                    nxt.append(new_path)
-        frontier = nxt
-        if not frontier:
-            break
-    return out
-
-
 def accepts_within(m: Machine, input_str: str, bound: int):
     """Bounded acceptance oracle.
 
-    Returns (accepted, witness); the witness is the shortest accepting
-    history in breadth-first order, or None. It is the history that
-    `enumerate_accepting_histories(..., limit=1)` returns: shortest first,
-    ties broken by rule declaration order.
+    Returns (accepted, witness); the witness is the first of the shortest
+    accepting histories when paths are searched breadth-first with ties
+    broken by rule declaration order, or None.
 
     The search runs over configurations, keeping the first parent that
-    reached each one. Both rules keep the path search's witness: every
-    configuration on the first shortest accepting path is first reached
-    along that path's own prefix, and a configuration already reached at
-    an earlier level cannot lie on a shortest accepting path.
+    reached each one. Both rules keep that witness: every configuration
+    on the first shortest accepting path is first reached along that
+    path's own prefix, and a configuration already reached at an earlier
+    level cannot lie on a shortest accepting path.
 
     Raises OracleLimitError instead of visiting more than
     ORACLE_CONFIG_LIMIT configurations.

@@ -119,16 +119,8 @@ class LabeledFormula:
         return sum(map(len, self.groups.values()))
 
     @property
-    def bound(self) -> int:
-        return self.grid.bound
-
-    @property
     def var_count(self) -> int:
         return self.grid.var_count
-
-    @property
-    def machine(self) -> Machine:
-        return self.grid.machine
 
 
 def _exactly_one(ids: List[int]) -> List[Tuple[int, ...]]:
@@ -198,11 +190,10 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
             g3.extend(_exactly_one([g.s[(i, j, l)] for l in g.symbols]))
 
     # G4: the initial configuration, as unit clauses.
-    g4.append((g.q[(0, m.start)],))
-    g4.append((g.h[(0, 0)],))
-    for j in range(T + 1):
-        sym = input_str[j] if j < len(input_str) else m.blank
-        g4.append((g.s[(0, j, sym)],))
+    c = initial_configuration(m, input_str)
+    g4.append((g.q[(0, c.state)],))
+    g4.append((g.h[(0, c.head)],))
+    g4.extend((g.s[(0, j, _config_symbol(c, j, m.blank))],) for j in range(T + 1))
 
     # G5: accept at the final time.
     g5.append((g.q[(T, m.accept)],))

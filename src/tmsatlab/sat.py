@@ -15,21 +15,9 @@ CLI's `solve` and the property suite run it.
 
 A clause is a tuple of int literals all the way from the reduction to
 the solver: `to_cnf` chains the reduction's own tuples group by group,
-and `from_dimacs` cuts its clauses out of one tuple of tokens.
-The solver indexes the formula in one pass over its clauses. A unit is
-propagated first, a binary clause becomes two entries of per-literal
-implication lists, and only a clause of three or more literals is copied,
-into two-watched-literal lists. A clause of two or three literals is
-tested for a repeated variable by comparing its literals, a longer one
-by the set of its variables; a clause that repeats one is indexed
-without the repeats, and a tautology not at all. A learnt clause goes in
-by its length in the same way, and a learnt unit backjumps to level 0.
-
-Each DIMACS direction has a per-call table of literals. The writer
-renders every literal from a table of the strings of the 2n literals,
-which has no entry for a bad literal. The reader converts tokens
-through a string-to-literal table of the 2n+1 tokens -n..n only when
-the text has more clause lines than that, and through `int` otherwise.
+and `from_dimacs` cuts its clauses out of one tuple of tokens. `_index`
+says how the solver stores them; `to_dimacs` and `_scan_bulk` say how
+DIMACS literals are converted.
 """
 
 from __future__ import annotations
@@ -184,9 +172,8 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     _index(f.clauses, units, implied, watches)
     trail: List[int] = []
     # Per decision level d >= 1, at index d - 1: the trail length before
-    # its decision, and its decision variable.
+    # its decision, so trail[marks[d - 1]] is the decision literal.
     marks: List[int] = []
-    dvars: List[int] = []
 
     def propagate(pending: List[int], why: list) -> Optional[Sequence[int]]:
         """Make each pending literal true, implied by the reason at the
@@ -299,7 +286,6 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
                 return _verified(f, dict(zip(range(1, n + 1), val[1:n + 1])), **stats())
             decisions += 1
             marks.append(len(trail))
-            dvars.append(var)
             pending, why = [var], [None]
             continue
         conflicts += 1
@@ -325,12 +311,11 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
             b = 0
         max_backjump = max(max_backjump, len(marks) - b)
         mark = marks[b]
+        var = trail[mark]
         for lit in trail[mark:]:
             val[lit] = val[-lit] = None
         undone += len(trail) - mark
-        del trail[mark:]
-        var = dvars[b]
-        del marks[b:], dvars[b:]
+        del trail[mark:], marks[b:]
         if len(clause) == 1:
             pending, why = [uip], [None]
         elif len(clause) == 2:

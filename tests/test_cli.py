@@ -182,6 +182,23 @@ def test_oracle_over_configuration_limit(tmp_path, capsys, command, tape_growing
     assert "ORACLE_CONFIG_LIMIT" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("command", [["verify"], ["history", "encode"], ["kim", "build"],
+                                     ["kim", "run"], ["kim", "metrics"]],
+                         ids="-".join)
+def test_bound_below_one_is_usage_error(machine_file, library_dir, capsys, monkeypatch,
+                                        command, bound):
+    """Refused with the reduction's own message before any oracle run,
+    and so before a library entry is checked."""
+    def oracle(*args):
+        raise AssertionError("the oracle ran")
+    monkeypatch.setattr(cli, "accepts_within", oracle)
+    where = (["--library", library_dir, "--base", machine_file] if command[0] == "kim"
+             else ["-m", machine_file])
+    assert main([*command, *where, "-i", "1", "-T", bound]) == 2
+    assert capsys.readouterr().err == "error: bound must be at least 1\n"
+
+
 class TestHistory:
     def test_extract(self, machine_file, capsys):
         assert main(["history", "extract", "-m", machine_file,
@@ -197,6 +214,12 @@ class TestHistory:
     def test_no_witness(self, machine_file, capsys):
         assert main(["history", "extract", "-m", machine_file,
                      "-i", "0", "-T", "3"]) == 1
+
+    def test_extract_accepts_bound_zero(self, machine_file, capsys):
+        assert main(["history", "extract", "-m", machine_file,
+                     "-i", "1", "-T", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "m_accept1 does not accept '1' within 0 transitions\n")
 
 
 class TestMerge:

@@ -1,3 +1,5 @@
+from typing import List, Tuple
+
 import pytest
 
 from tmsatlab import machine
@@ -7,12 +9,12 @@ from tmsatlab.machine import (
     Configuration,
     ComputationHistory,
     IllegalHistoryError,
+    Machine,
     MachineSemanticError,
     MachineSyntaxError,
     OracleLimitError,
     TransitionTable,
     accepts_within,
-    enumerate_accepting_histories,
     extract_particular_table,
     initial_configuration,
     is_deterministic,
@@ -45,6 +47,42 @@ rule: q1 0 -> q0 0 S
 rule: q1 1 -> q1 0 S
 rule: q1 1 -> q0 1 S
 """
+
+
+def enumerate_accepting_histories(
+        m: Machine, input_str: str, bound: int, limit: int) -> List[ComputationHistory]:
+    """All accepting histories of at most `bound` transitions, breadth-first,
+    ties broken by rule declaration order, truncated at `limit`.
+
+    The search runs over *paths* with no visited set, so its cost grows
+    exponentially in `bound` on a branching machine. It is the
+    path-by-path reference that `accepts_within` is compared with.
+    """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+    init = initial_configuration(m, input_str)
+    out: List[ComputationHistory] = []
+    if init.state == m.accept:
+        out.append(ComputationHistory((init,), input_str))
+        return out[:limit]
+    frontier: List[Tuple[Configuration, ...]] = [(init,)]
+    for _ in range(bound):
+        nxt: List[Tuple[Configuration, ...]] = []
+        for path in frontier:
+            for nc in step(m, path[-1]):
+                new_path = path + (nc,)
+                if nc.state == m.accept:
+                    out.append(ComputationHistory(new_path, input_str))
+                    if len(out) >= limit:
+                        return out
+                else:
+                    nxt.append(new_path)
+        frontier = nxt
+        if not frontier:
+            break
+    return out
 
 
 class TestParse:

@@ -171,16 +171,22 @@ class TestGroups:
         f = reduce_machine(m_accept1, "1", 1)
         assert all(type(clauses) is tuple for clauses in f.groups.values())
         assert all(type(c) is tuple for c in to_cnf(f).clauses)
-        with pytest.raises(AttributeError):
-            f.clauses.append((1,))
+        for clauses in f.groups.values():
+            with pytest.raises(AttributeError):
+                clauses.append((1,))
 
     def test_clause_view_matches_counts_and_cnf(self, m_parity):
         # The benchmark's tracer counts groups and distinct run parts
-        # through the `clauses` view.
+        # through the `clauses` view; `groups` must give the same counts
+        # and order without it.
         f = reduce_machine(m_parity, "11", 3)
         g = reduce_machine(m_parity, "0", 3)
         for h in (f, input_part(f), run_part(f), concatenate(input_part(g), run_part(f))):
             counts = clause_counts(h)
+            assert list(h.groups) == list(counts) == list(GROUPS)
+            assert counts == {group: len(clauses) for group, clauses in h.groups.items()}
+            assert to_cnf(h).clauses == [c for cs in h.groups.values() for c in cs]
+            assert h.clause_count == len(to_cnf(h).clauses)
             assert Counter(c.group for c in h.clauses) == {
                 group: n for group, n in counts.items() if n}
             assert [c.literals for c in h.clauses] == to_cnf(h).clauses
