@@ -18,6 +18,7 @@ from . import argument, parity
 from .corpus import run_corpus_checks
 from .machine import (
     MachineError,
+    MachineSemanticError,
     accepts_within,
     extract_particular_table,
     merge_tables,
@@ -80,6 +81,7 @@ def _emit(text: str, out_path):
 
 
 def _cmd_reduce(args) -> int:
+    _check_bound(args.bound)
     m = _load_machine(args.machine)
     f = reduce_machine(m, args.input, args.bound)
     if args.part == "input":
@@ -99,7 +101,7 @@ def _cmd_solve(args) -> int:
     if result.satisfiable:
         lits = [v if result.assignment[v] else -v for v in sorted(result.assignment)]
         print("s SATISFIABLE")
-        print("v " + " ".join(str(l) for l in lits) + " 0")
+        print(" ".join(["v", *map(str, lits), "0"]))
         return EXIT_SAT
     if not check_refutation(f, result.learnt):
         raise SatError("refutation fails verification")
@@ -130,10 +132,8 @@ def _cmd_history(args) -> int:
         return EXIT_CHECK_FAILED
     if args.action == "encode":
         f, assignment = encode_history(m, witness, args.bound)
-        text = to_dimacs(f)
         lits = " ".join(str(v if assignment[v] else -v) for v in sorted(assignment))
-        text += f"c induced-assignment: {lits}\n"
-        _emit(text, args.output)
+        _emit(to_dimacs(f) + f"c induced-assignment: {lits}\n", args.output)
     else:  # extract
         t = extract_particular_table(witness, m)
         for state, symbol, nxt, write, move in t.rules():
@@ -152,20 +152,22 @@ def _cmd_merge(args) -> int:
     return EXIT_OK
 
 
-def _load_library(dir_path: str, bound: int, base):
+def _load_library(dir_path: str, bound: int):
     """A library directory holds one `<name>.tm` per entry, with the
     witness input in a sibling `<name>.in` (missing file = empty input).
     Entries are taken in sorted filename order."""
     directory = Path(dir_path)
     if not directory.is_dir():
         raise _FileError(f"{dir_path} is not a directory")
-    histories = []
-    names = []
+    histories, names = [], []
     for tm_path in sorted(directory.glob("*.tm")):
         m = _load_machine(str(tm_path))
         in_path = tm_path.with_suffix(".in")
         y = _read_text(str(in_path)).strip() if in_path.exists() else ""
-        accepted, witness = accepts_within(m, y, bound)
+        try:
+            accepted, witness = accepts_within(m, y, bound)
+        except MachineSemanticError as exc:  # a symbol outside m's input alphabet
+            raise _FileError(f"{in_path.name}: {exc}") from exc
         if not accepted:
             raise _FileError(
                 f"{tm_path.name}: machine does not accept {y!r} within {bound} "
@@ -178,7 +180,7 @@ def _load_library(dir_path: str, bound: int, base):
 def _cmd_kim(args) -> int:
     _check_bound(args.bound)
     base = _load_machine(args.base)
-    histories, names = _load_library(args.library, args.bound, base)
+    histories, names = _load_library(args.library, args.bound)
     pm = parity.build_parity_machine(histories, args.bound, base)
     if args.action == "build":
         info = {
@@ -221,9 +223,8 @@ def _cmd_kim(args) -> int:
 
     # metrics
     if args.chosen is not None and not 0 <= args.chosen < len(report.instances):
-        print(f"error: --chosen {args.chosen} is not an instance index "
-              f"(the library has {len(report.instances)} entries)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--chosen {args.chosen} is not an instance index "
+                         f"(the library has {len(report.instances)} entries)")
     chosen = args.chosen if args.chosen is not None else report.designated
     if chosen is None:
         print("no satisfiable instance to take metrics from", file=sys.stderr)
@@ -331,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _FileError as exc:

@@ -23,7 +23,7 @@ DIMACS literals are converted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .reduction import LabeledFormula
@@ -494,10 +494,10 @@ def solve_bruteforce(f: CnfFormula) -> SolveResult:
 def to_dimacs(f) -> str:
     """Render a CnfFormula or LabeledFormula as DIMACS text.
 
-    Labeled formulas get `c var <id> = <label>` headers and a
-    `c clause <n> group G<k>` comment before each clause. A literal that
-    is 0 or outside -var_count..var_count raises ValueError naming it, and
-    an empty clause raises ValueError("empty clause").
+    A labeled formula gets `c var <id> = <label>` headers, and each group, in
+    GROUPS order, a `c group <G> clauses <first>-<last>` (or `none`) line
+    before its clauses. A literal that is 0 or outside -var_count..var_count
+    raises ValueError naming it; an empty clause, ValueError("empty clause").
     """
     n = f.var_count
     # Literals are written from a table of their strings. It holds only
@@ -505,26 +505,25 @@ def to_dimacs(f) -> str:
     # another literal's string.
     lits = [*range(-n, 0), *range(1, n + 1)]
     name = dict(zip(lits, map(str, lits))).__getitem__
-    lines: List[str] = []
     if isinstance(f, LabeledFormula):
-        clauses = list(chain.from_iterable(f.groups.values()))
-        groups = chain.from_iterable(repeat(group, len(group_clauses))
-                                     for group, group_clauses in f.groups.items())
-        lines.extend(f"c var {vid} = {label}" for vid, label in f.grid.labels())
-        lines.append(f"p cnf {n} {len(clauses)}")
-        # A labeled formula is not checked when it is built: an empty
-        # clause is looked up as the literal 0, which the table lacks.
-        rows = (f"c clause {idx} group {group}\n{' '.join(map(name, literals or (0,)))} 0"
-                for idx, group, literals in zip(count(1), groups, clauses))
+        lines = [f"c var {vid} = {label}" for vid, label in f.grid.labels()]
+        runs = f.groups.items()
     else:
-        clauses = f.clauses
-        lines.append(f"p cnf {n} {len(clauses)}")
-        rows = (" ".join(map(name, clause)) + " 0" for clause in clauses)
+        lines, runs = [], [(None, f.clauses)]
+    lines.append(f"p cnf {n} {sum(len(clauses) for _, clauses in runs)}")
+    first = 1
     try:
-        lines.extend(rows)
+        for group, clauses in runs:
+            if group:
+                span = f"{first}-{first + len(clauses) - 1}" if clauses else "none"
+                lines.append(f"c group {group} clauses {span}")
+                first += len(clauses)
+            # A labeled formula is not checked when it is built: an empty
+            # clause is looked up as the literal 0, which the table lacks.
+            lines.extend(" ".join(map(name, clause or (0,))) + " 0" for clause in clauses)
     except KeyError:
         # The clause-by-clause check names the first fault.
-        _check_clauses(clauses, n)
+        _check_clauses([clause for _, clauses in runs for clause in clauses], n)
         raise
     return "\n".join(lines) + "\n"
 

@@ -82,6 +82,12 @@ class TestSolve:
               "-o", str(cnf)])
         assert main(["solve", str(cnf)]) == 20
 
+    def test_model_of_no_variables(self, tmp_path, capsys):
+        empty = tmp_path / "empty.cnf"
+        empty.write_text("p cnf 0 0\n")
+        assert main(["solve", str(empty)]) == 10
+        assert capsys.readouterr().out == "s SATISFIABLE\nv 0\n"
+
     def test_malformed_dimacs(self, tmp_path):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 2 2\n1 0\n")
@@ -183,18 +189,18 @@ def test_oracle_over_configuration_limit(tmp_path, capsys, command, tape_growing
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
-@pytest.mark.parametrize("command", [["verify"], ["history", "encode"], ["kim", "build"],
-                                     ["kim", "run"], ["kim", "metrics"]],
+@pytest.mark.parametrize("command", [["reduce"], ["verify"], ["history", "encode"],
+                                     ["kim", "build"], ["kim", "run"], ["kim", "metrics"]],
                          ids="-".join)
-def test_bound_below_one_is_usage_error(machine_file, library_dir, capsys, monkeypatch,
-                                        command, bound):
-    """Refused with the reduction's own message before any oracle run,
-    and so before a library entry is checked."""
+def test_bound_below_one_is_usage_error(tmp_path, capsys, monkeypatch, command, bound):
+    """Refused with the reduction's own message before any file is read
+    or the oracle runs: the files named here do not exist."""
     def oracle(*args):
         raise AssertionError("the oracle ran")
     monkeypatch.setattr(cli, "accepts_within", oracle)
-    where = (["--library", library_dir, "--base", machine_file] if command[0] == "kim"
-             else ["-m", machine_file])
+    missing = str(tmp_path / "missing.tm")
+    where = (["--library", str(tmp_path / "missing"), "--base", missing]
+             if command[0] == "kim" else ["-m", missing])
     assert main([*command, *where, "-i", "1", "-T", bound]) == 2
     assert capsys.readouterr().err == "error: bound must be at least 1\n"
 
@@ -295,6 +301,14 @@ class TestKim:
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == ["entries", "bound", "base", "distinct_run_parts"]
         assert payload["distinct_run_parts"] == 2
+
+    def test_input_symbol_outside_alphabet_names_the_in_file(self, library_dir,
+                                                             machine_file, capsys):
+        (Path(library_dir) / "e0.in").write_text("1x\n")
+        assert main(["kim", "build", "--library", library_dir,
+                     "--base", machine_file, "-T", "4"]) == 3
+        assert capsys.readouterr().err == \
+            "error: e0.in: input symbol 'x' not in input alphabet\n"
 
     def test_run_entry_with_other_start(self, tmp_path, capsys):
         # The base starts in q1 and the entry in q0: the concatenation runs

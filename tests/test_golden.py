@@ -2,12 +2,17 @@
 stderr over a fixed grid of `reduce`, `history encode`, `solve`,
 `verify`, `merge`, `kim`, `argue` and `corpus-test` calls.
 
-The `reduce`, `history encode`, `kim` and `corpus-test` digests were
-recorded before the variable-grid refactor of `reduction`; the others
-before decode stopped re-checking the model and `from_dimacs` stopped
-range-checking literals itself. They pin DIMACS, JSON and error output
-byte for byte; the work directory's path reads `{dir}` in the output. A
-digest changes only with an intended, documented change of output.
+The `kim` and `corpus-test` digests were recorded before the
+variable-grid refactor of `reduction`; the `solve`, `verify`, `merge` and
+`argue` ones before decode stopped re-checking the model and
+`from_dimacs` stopped range-checking literals itself. The `reduce`
+digests and the 11 `history encode` ones that write DIMACS were
+re-recorded when `to_dimacs` moved from a `c clause <n> group <G>` line
+per clause to one `c group <G> clauses <first>-<last>` line per group;
+the 13 `history encode` cases with no witness kept theirs. They pin
+DIMACS, JSON and error output byte for byte; the work directory's path
+reads `{dir}` in the output. A digest changes only with an intended,
+documented change of output.
 """
 
 import contextlib
@@ -97,13 +102,13 @@ GOLDEN = {
     "history-encode/m_accept1/y=/T=4":
         "5011192d9dd2e46fe356667fc641b823a98e1282e816081d41c677dc857bcc0d",
     "history-encode/m_accept1/y=1/T=2":
-        "993359831b39a8012b1d14ab879848988c9c0368a83f3cab8389e3b21a4fd9de",
+        "6f840d84d2cd8ddc77951049676fe5653951c294a32dbe7d2876d7a389577190",
     "history-encode/m_accept1/y=1/T=4":
-        "470fb55834798f98a68105a95d1cac11414afa3a4df95b4eb32865ea21bab0f9",
+        "46332a48a1e32a8e88d21997384489fe36c33c534fbe253c56004724e8f9aade",
     "history-encode/m_accept1/y=11/T=2":
-        "12ff576c8551584c7bc311279518ce7cafeed322a2989930414e07cd2846797c",
+        "3749d7e9ea5a5e4e4caa01f0bb6bf7282b8a80111ff55feb45415bdffed34323",
     "history-encode/m_accept1/y=11/T=4":
-        "7c097b3e2995c124cbd01a1cb99c0fe5356f3f4825c892c9023a871897cb9f25",
+        "ffc7efe5135283d0e41ea0022f2b4c7039d0d393523335e67a46bfe2576950e9",
     "history-encode/m_loop/y=/T=2":
         "f7bea6b15885410a80b96bc2892612b504fd68b124a0c9b9415ff47b0546f74b",
     "history-encode/m_loop/y=/T=4":
@@ -121,17 +126,17 @@ GOLDEN = {
     "history-encode/m_nd/y=/T=4":
         "d9ad902d8415f4fcf7b8d6f138d8ba87b65df19cc7e270e0ec3531133d3458f1",
     "history-encode/m_nd/y=1/T=2":
-        "bbe949e581bad6d5beb078db600ca51c299c3a6779b2400ee986a9c42749fbd1",
+        "d2f9885c980c6cc39b089c91a5f6804f4969f1d60c8a123e32541f110830c139",
     "history-encode/m_nd/y=1/T=4":
-        "d154b45e062352ebd9abba400add98a099894ea7aaeb88e3554c9c46c1bce866",
+        "67fd9063ea16269881aa8a05be1d641695e073ca4b473d0ae957825842172450",
     "history-encode/m_nd/y=11/T=2":
-        "1b6928366e17a2f5c55f6b7471153e0cf6a2ddfbf19d60b124c19966a91bd3f6",
+        "ac74ec1f098c652991abc097a01e5c3df7d00ee750d0f2f8d9fe6e7565295585",
     "history-encode/m_nd/y=11/T=4":
-        "a3de7fcf0e100c94220794f545dac903f7598e771d745b509a66c06f1420cd12",
+        "cadd696fd77853f1a3903835939027cb12792d26b52ae89a6c5536d20478b021",
     "history-encode/m_parity/y=/T=2":
-        "d97744a84d6b9f372c58817001da6f6920736090c912f65c0282fc874d610682",
+        "cb68c1dd0a4338acf947f3d0bae5f60b48f0898ae6f58c31d0af227c76ef891c",
     "history-encode/m_parity/y=/T=4":
-        "9a32e831a9b70d91377cda8edf7ebbd2b7023c30b19329d34c3da765b7091431",
+        "c6963db3fe177f107321071f9ef56cd230d1ff0d5d2efa97cbf6a43e2bcf0084",
     "history-encode/m_parity/y=1/T=2":
         "4bca5f9dabbc3ab9a483637f253b4054f5949246d753466b41ed842f493bd35f",
     "history-encode/m_parity/y=1/T=4":
@@ -139,7 +144,7 @@ GOLDEN = {
     "history-encode/m_parity/y=11/T=2":
         "2e39647e79eeaf7df3eb827bd8258e9e5be8e4235d7b67c9e6a127e20ceb915d",
     "history-encode/m_parity/y=11/T=4":
-        "2236a4a4791edcce84f6fee22a360e6ff8531c7cd7509ea311424e4d326b56d3",
+        "b8470855057621b25dc7213eb2ca49f680fadebfd3187959c649e8ec314676a3",
     "kim-build/m_accept1/json":
         "5935d210ce339fec1d4254bb304a478b42d62876de99f6a7ab1bb479250b1718",
     "kim-build/m_accept1/text":
@@ -249,149 +254,149 @@ GOLDEN = {
     "merge/m_parity/m_nd":
         "aadd83ba901bba07d41e82edf6d305cb9068e0729acd60fa24e5fb6592d560bc",
     "reduce/m_accept1/y=/T=2/all":
-        "c3d10752fbc924707e38a3744d6741e0f330b76784140c43fc335c9f1a73eff5",
+        "0e2d07f5b7a2fb4b87c8f9f3cb92f753a9e6f4165c37ea31065e7af4d010defc",
     "reduce/m_accept1/y=/T=2/input":
-        "9df78494df13862bee38ce5f5ed2f2331e940789a7827a30a6291d7e4dd5b435",
+        "998407542c6daee91d645204c167212dce592f607be80854ab3175a0905fe1d9",
     "reduce/m_accept1/y=/T=2/run":
-        "832941069798e279858f2240b9d951dcaf39de70c51c13930cb23b7f26526ad9",
+        "7445b569509811766c9bf53f5f174d3d2d4b7e6303a5b87d5c369a67e6926f67",
     "reduce/m_accept1/y=/T=4/all":
-        "c754b18e87f5869ec58eb2b63f062eef134b7f6fe7e826d70fd947a04e9c59de",
+        "d57418da56a29593e30a752d6dda0f41eff9f3a656f38cfcc92952feb7fdebe5",
     "reduce/m_accept1/y=/T=4/input":
-        "45f8454568d7579ff8d0a0b2f0f5962bcecd97a71b64ef03a6a73e12ea8f575b",
+        "44cbb1998c58246498fd075f33538d30a31b4e812fbc8c85b192fef4873cfffe",
     "reduce/m_accept1/y=/T=4/run":
-        "efeb5f6f8e35639172237a48bb93925b5ace629729d7bc85d76ddd83e6dd7ad1",
+        "55cdfa224af073c9d8c5c15044203547d9f1efe810e71c526c9d188e94b53705",
     "reduce/m_accept1/y=1/T=2/all":
-        "ae4c69d1ec9fbbfb42df17eae38ef7a36a4f6306dad5bb83a29ee0776e9a4174",
+        "483aae5e534822d72972013c5f7257b7377e365f32c438c0fd347dcebd0683ed",
     "reduce/m_accept1/y=1/T=2/input":
-        "fe24a0dc571f7dab424bf6f019be1d017d6561caf50a3afc1f40cc3d5a640ebe",
+        "c9dece498db724f85b8d39e294c405c98bf4665466d01b5e70beda468970ff2c",
     "reduce/m_accept1/y=1/T=2/run":
-        "832941069798e279858f2240b9d951dcaf39de70c51c13930cb23b7f26526ad9",
+        "7445b569509811766c9bf53f5f174d3d2d4b7e6303a5b87d5c369a67e6926f67",
     "reduce/m_accept1/y=1/T=4/all":
-        "92cd792740b6c6ded86d64aab7335a73898d338d046acf78c8821b8c966c6e64",
+        "cabdaccaa2edf27909e6db3863674dd36c13f8167b943fd5d1c56e6d5993aa14",
     "reduce/m_accept1/y=1/T=4/input":
-        "7683af913d78314567fcced5f2700c9345e8b31341fc12ff0d8e86ba3e29c4c3",
+        "ea6c185e09ea45a8f40c24b1070cfbcd1ce39421cd4fd4d9df23aeab73e0bc2e",
     "reduce/m_accept1/y=1/T=4/run":
-        "efeb5f6f8e35639172237a48bb93925b5ace629729d7bc85d76ddd83e6dd7ad1",
+        "55cdfa224af073c9d8c5c15044203547d9f1efe810e71c526c9d188e94b53705",
     "reduce/m_accept1/y=11/T=2/all":
-        "feed4f8c608a5900d6752d20e6a94682d18aedcfed8fd1658ece7476e0fe035b",
+        "0b5fd9cae7f95aa50bf986f24b966f90cef71d6b50a733929349f42473067861",
     "reduce/m_accept1/y=11/T=2/input":
-        "a5580ef773e8a5ee267070b3d685318db0334c974b5bca80a91051262424c0de",
+        "0876f539f77cbc3e145b3be031125aa263ef29850b5b21d33fb1fb9c4f7cbd20",
     "reduce/m_accept1/y=11/T=2/run":
-        "832941069798e279858f2240b9d951dcaf39de70c51c13930cb23b7f26526ad9",
+        "7445b569509811766c9bf53f5f174d3d2d4b7e6303a5b87d5c369a67e6926f67",
     "reduce/m_accept1/y=11/T=4/all":
-        "b0a4e0f278f69fdfeb0ed7536d4d59dcc929c5fc59f553ce861a59b7ee05a754",
+        "2e7e1a5c4a4a27c88fde256c2d426b648ec9a419adc6461df3d7798cf208fbc6",
     "reduce/m_accept1/y=11/T=4/input":
-        "c830eb250ac3460b972bacf1f549e464d7e660d0ad8c37712778e232be33bf0b",
+        "4f32b54ada27856ed8744d380c23f433d17d7e3a4cb691a8da24d86fc6526a35",
     "reduce/m_accept1/y=11/T=4/run":
-        "efeb5f6f8e35639172237a48bb93925b5ace629729d7bc85d76ddd83e6dd7ad1",
+        "55cdfa224af073c9d8c5c15044203547d9f1efe810e71c526c9d188e94b53705",
     "reduce/m_loop/y=/T=2/all":
-        "2b9c80b78c773b04feffff3d029a3c87ff05c490848531db86f80a4e6eb31667",
+        "c0dc63f8abf31fc07a188279e485bb52de96158877f6d50280d9dde48d464aae",
     "reduce/m_loop/y=/T=2/input":
-        "9f9e20672780fb9c883139b6a64b891e0b737ab5c9007fa14a58d31e3415aad8",
+        "be4b995cb46cb80bae54d8c65507bdbfb67898b4e10834bde65de65f8912ff76",
     "reduce/m_loop/y=/T=2/run":
-        "8a6e141d0f4485235711187c31f5ea912d93c6ad49f7a2a0931ad4b140e3e6b7",
+        "f4738de18c6be1e095d7e8dd6305778669498d00f915b0de9561b913d153d8e9",
     "reduce/m_loop/y=/T=4/all":
-        "4cf2b34a04f0eb9d2dc1d84c4b008ceed37d4e29dff33b7d90446fd4b64e07a9",
+        "a1e5dc6b09549b8bf322e7508cc59da6eeaf93a38ed59d569e4c478b241bc636",
     "reduce/m_loop/y=/T=4/input":
-        "e41edeaa5c64f441eaeaa65bdfce6e422f4607a485b3d0c87b6b95b3f0252bf2",
+        "e68b9dced280771485b0c5187b8fbbfcbb0d400082f8aa2e279fb8044e69edf0",
     "reduce/m_loop/y=/T=4/run":
-        "9b74393c3465b006008a7a2331f9eb51213c65d2bde330da622f5ce909c52c7d",
+        "6a9733f9aa18f5e0cea1b3a2aa8fbb80d747d86dda49dc4b62ab16c266e8489f",
     "reduce/m_loop/y=1/T=2/all":
-        "e5e6f8e5f877226c6e1ee8e46349ec464efca8cbd22edefe560ace23a515278c",
+        "ac0dc36fee077cca2d5cc72e8195859df05c4526663818fe288678683e18b6c0",
     "reduce/m_loop/y=1/T=2/input":
-        "596ddb976074c9a477de01746a838682dd52a894aa9b652de2874592cf4ec788",
+        "d4996f599aded1bbef45bbfa6acb2228a5ed6274a4d04e15db959dbe75998941",
     "reduce/m_loop/y=1/T=2/run":
-        "8a6e141d0f4485235711187c31f5ea912d93c6ad49f7a2a0931ad4b140e3e6b7",
+        "f4738de18c6be1e095d7e8dd6305778669498d00f915b0de9561b913d153d8e9",
     "reduce/m_loop/y=1/T=4/all":
-        "8bb4308672893ace9c1b69e27f03eb0602f2c5566663cf71df1db882553111d2",
+        "f43e5ff757692f88e39477f425c3481faa99672a27b100256fe2cb5541ce876f",
     "reduce/m_loop/y=1/T=4/input":
-        "c9ea39fd2367adfd09b80d5d656e79d69bc159050dd3488c2f48a8efef5f828c",
+        "9b3f5417710e293d3f54fddd960a01cc4716535d6e0b198676e32f00a8807b62",
     "reduce/m_loop/y=1/T=4/run":
-        "9b74393c3465b006008a7a2331f9eb51213c65d2bde330da622f5ce909c52c7d",
+        "6a9733f9aa18f5e0cea1b3a2aa8fbb80d747d86dda49dc4b62ab16c266e8489f",
     "reduce/m_loop/y=11/T=2/all":
-        "33968399dee0ebf7ed1602e523d5c15f77c1608ea3a65f52b421cda988af22b8",
+        "4f7a93de4e3816348ad03213fdcd48cee4845ce9945cea7d5207a310bab0bc03",
     "reduce/m_loop/y=11/T=2/input":
-        "64e5a13705e574958a3629fc1d608304dc771c1643dd4635f1e3f925081486c5",
+        "2c52582281da985228862065f6f1fcb3425f9f1aaebf438e3cb9dc2c936ef65b",
     "reduce/m_loop/y=11/T=2/run":
-        "8a6e141d0f4485235711187c31f5ea912d93c6ad49f7a2a0931ad4b140e3e6b7",
+        "f4738de18c6be1e095d7e8dd6305778669498d00f915b0de9561b913d153d8e9",
     "reduce/m_loop/y=11/T=4/all":
-        "57796d9f4573e5c22e66bc01df2fbf653eef143500ae6f409643bf9e3d349fb6",
+        "b7ff02199480586a90834c790b451adbc9a72b3bb2704702291a8bebd2607b60",
     "reduce/m_loop/y=11/T=4/input":
-        "b30687a4eeeeac2a092197f6d33e9ea00c28d8ba7bec7b7fa4610245eddb0ff3",
+        "2bbc0a2e06591fd7be35c9c6cde07710b43592dd84c688394dfc40d80d593128",
     "reduce/m_loop/y=11/T=4/run":
-        "9b74393c3465b006008a7a2331f9eb51213c65d2bde330da622f5ce909c52c7d",
+        "6a9733f9aa18f5e0cea1b3a2aa8fbb80d747d86dda49dc4b62ab16c266e8489f",
     "reduce/m_nd/y=/T=2/all":
-        "2d7683b5429381261fcab8f5624dfc2b2df263bb50796869128cd16d7615c85d",
+        "0da6a0a5b593b3f6e0b644b9f0755c8b84103a1e6f317e4f4e15148c6c7fa15d",
     "reduce/m_nd/y=/T=2/input":
-        "f816064ea7a13a03682c14cc677cdafbe17f56ef19134b07098a511b93024e81",
+        "8673da7961f685e3b5879c17647c68a5d04f6f82280ae0a959ec7756715d0cf7",
     "reduce/m_nd/y=/T=2/run":
-        "1b46776f120926315c92110f9c4c5c476126977e9200b4e05775d877aaacdd8e",
+        "8d6b9af333390f998f4172785a5c5fdd31c04e1e60911e7a02464df4dcfc8298",
     "reduce/m_nd/y=/T=4/all":
-        "14e144a33fe723ee2b13a708296f9589af168776d07a9c64c7a27b436f970876",
+        "a4386b49afe7e688b1452a1ee559644193fbe897c4ad1f47b7ebcbcb610f620a",
     "reduce/m_nd/y=/T=4/input":
-        "f3b0ff79568c40eca8c6b3706278465eb5773b23293aee58c7185bcb23d9695e",
+        "8f7d8c81849b98dd4d2b758c9bb7864bf4b6fcd041190d43ab898a26c0798dc2",
     "reduce/m_nd/y=/T=4/run":
-        "5e2ac26a283783b9efccfecbb30b506c5c14193ff3e3e8d2f1392f853670e69d",
+        "1c3675a5c1d56c3c64dec58a7cb49271e26b05349d4d039ef137723cec11d663",
     "reduce/m_nd/y=1/T=2/all":
-        "73eb34308e05fdbb2ac2a135be46adb70b4de5518c2e5d0990b83921990255a3",
+        "d9934dbbe466bfee98ee77918df46794b698063f095f5334587dc0310dc91c06",
     "reduce/m_nd/y=1/T=2/input":
-        "9a8c256de0f02bd217debe5a9521405bf27a5d9b5303d4731728c527de234da9",
+        "b48d4b67d94e0ce453fdc2363b24c3a7f0160bbbff005fb1285debafd60702c0",
     "reduce/m_nd/y=1/T=2/run":
-        "1b46776f120926315c92110f9c4c5c476126977e9200b4e05775d877aaacdd8e",
+        "8d6b9af333390f998f4172785a5c5fdd31c04e1e60911e7a02464df4dcfc8298",
     "reduce/m_nd/y=1/T=4/all":
-        "d2f9d1f6707e217bc6b6bd7bba84729fe73b7e0b4c152ef303d391cd8b951453",
+        "608b8dd1e5821fd0fd17c5aea0bbd0db529f248774e15767e30c2c72f07146c2",
     "reduce/m_nd/y=1/T=4/input":
-        "ca78c82eb972312f69d40551c2d9170d55de1a1fea55f68b3de9842b02d2b0fb",
+        "762a2dae222f42a28c76936a7cd7facc1887284787f8a1827035ae99750de22a",
     "reduce/m_nd/y=1/T=4/run":
-        "5e2ac26a283783b9efccfecbb30b506c5c14193ff3e3e8d2f1392f853670e69d",
+        "1c3675a5c1d56c3c64dec58a7cb49271e26b05349d4d039ef137723cec11d663",
     "reduce/m_nd/y=11/T=2/all":
-        "1fb12227b7c55f5c116324542443c4e277ffeda968182c91000a7672e31730d5",
+        "102459356a7072dffe738477713ef8d630789e2c8790c408aaf1c59852d1ada8",
     "reduce/m_nd/y=11/T=2/input":
-        "b7b0587ce5ee4e39647387c03457b04af47ad7f6ac84364a426704582c1ac744",
+        "0bf8f3f49853f2e841f1e330c9c655d12eeae27813c364b0426fc19d6be05af3",
     "reduce/m_nd/y=11/T=2/run":
-        "1b46776f120926315c92110f9c4c5c476126977e9200b4e05775d877aaacdd8e",
+        "8d6b9af333390f998f4172785a5c5fdd31c04e1e60911e7a02464df4dcfc8298",
     "reduce/m_nd/y=11/T=4/all":
-        "89f626feca8313a871e9362e4aa3540585f71c50cd6b3185f3c729e54de9409f",
+        "b156a5cc6e315ef2e8bb51746e4ac61a147ed0da3f4f1bd78b1d649cbf40eb75",
     "reduce/m_nd/y=11/T=4/input":
-        "98c0db97093a827f4bc1feab2ef6fb8783cc7cf1c79f29e5e68feb58f31dfbbd",
+        "e7990bc49dc6f69c3c7c080ef1dda13488a710f413ed1e685effedabd1dde9f8",
     "reduce/m_nd/y=11/T=4/run":
-        "5e2ac26a283783b9efccfecbb30b506c5c14193ff3e3e8d2f1392f853670e69d",
+        "1c3675a5c1d56c3c64dec58a7cb49271e26b05349d4d039ef137723cec11d663",
     "reduce/m_parity/y=/T=2/all":
-        "71a37d294ffd2dcabad7219ac242d7e0d9b20bb9ab766ba489bab654a580cad7",
+        "d8cc33380b55d0049a6a18aa6f7e1aac2a8dbc1b6babeac78b57343d0c108842",
     "reduce/m_parity/y=/T=2/input":
-        "1eb33d9ff5bbe6c2e973e40fcf63548e8ed705fbe377034045fbd0e9431780ff",
+        "939c140b5267e63426d574d1fed051cd8e12e88630e2b4014c837604687aa099",
     "reduce/m_parity/y=/T=2/run":
-        "7cf7ba9712d22a52767a7d9f04bc1c53e8a8b18cafb0fddf99ad6f3d20214775",
+        "222ae23fc947a8a975e10c7ad27c69ece098ced3dbc1252acb03dc9ae557c4c6",
     "reduce/m_parity/y=/T=4/all":
-        "68738c50ded3acec72fd6b5775b535976bc540e1443494da70206f401650b331",
+        "7d9c0190ba7c8b9495053244e75b039a13765778ad29c6897ac5723d2fe1ebb6",
     "reduce/m_parity/y=/T=4/input":
-        "1c55498ebf090388ee7335507a2c7c23520efec08dad7544b476775e971eb86f",
+        "f7cd6f3d331b5deec8cd8fcd23605068d992661fb18730628a4da4929b129937",
     "reduce/m_parity/y=/T=4/run":
-        "397b470493012c5492e7f8dca8ec22212dc3fd9be853183e88bbef9117de260d",
+        "6c0a6a5b90726a2c064cea70e3e79a9dc1819d6fb73fbed09ee34cd896732c1e",
     "reduce/m_parity/y=1/T=2/all":
-        "ae1b6ee975480832966908bb035af595e1eaef4936f58676408bbabc20f7d4c0",
+        "795ccf49628db88499eeaf52292cbced16b2154d0a7a41cc4b17715c73aa3d83",
     "reduce/m_parity/y=1/T=2/input":
-        "a5bb0d2e57de8f472548af4924afc1a19102643fd2111431c31554970b1abd25",
+        "9ccc2f166db2989ac64b748485514cb851d07f768791b209aa271be59f72406c",
     "reduce/m_parity/y=1/T=2/run":
-        "7cf7ba9712d22a52767a7d9f04bc1c53e8a8b18cafb0fddf99ad6f3d20214775",
+        "222ae23fc947a8a975e10c7ad27c69ece098ced3dbc1252acb03dc9ae557c4c6",
     "reduce/m_parity/y=1/T=4/all":
-        "f598f1f9cb0fd44afa829ac8df3ff638344f34a11dcfd563a0ac894d9c53bc1e",
+        "acb34d8af10201aa73b32065906ea79c158f681fa8fae2cead8a0e250ec9cdfa",
     "reduce/m_parity/y=1/T=4/input":
-        "278e233643deb9b05de411ce7085acf1489faa49b8fa70159522c924fe1ced78",
+        "4473f8d4defe7159ebf2588f13e824ee0799c5c8777c7f710ceb980d15db6938",
     "reduce/m_parity/y=1/T=4/run":
-        "397b470493012c5492e7f8dca8ec22212dc3fd9be853183e88bbef9117de260d",
+        "6c0a6a5b90726a2c064cea70e3e79a9dc1819d6fb73fbed09ee34cd896732c1e",
     "reduce/m_parity/y=11/T=2/all":
-        "eebaf8e85eb1a100acce12ce1efc77fe442870ebd42043faa47a38deb83c45f3",
+        "ca9c19ad4815c3d411419d1e96f2af53d3be86f3a7a4bbd46264b3cea0cf6da1",
     "reduce/m_parity/y=11/T=2/input":
-        "fabb0740d5c3ad7d7fc02d7b1402e1fbd89e303745280654ef5c9f00d447eccd",
+        "979afa8cf3328b28e6adb3b54d48d3143ca94c9c4a873d74de3ba240145f8cd6",
     "reduce/m_parity/y=11/T=2/run":
-        "7cf7ba9712d22a52767a7d9f04bc1c53e8a8b18cafb0fddf99ad6f3d20214775",
+        "222ae23fc947a8a975e10c7ad27c69ece098ced3dbc1252acb03dc9ae557c4c6",
     "reduce/m_parity/y=11/T=4/all":
-        "8de97df38acec2b3210cb49b43248a24a6722a76d6d659c48ee57223e6c15996",
+        "1f93a55140186a3d30ba821a3beefdcd7361009361b92f733f7385d3e896ca0b",
     "reduce/m_parity/y=11/T=4/input":
-        "6ea0be3d64a810ac0de684ee767be51b76ddfefb2d9d39cb323fd2e8ecd8c568",
+        "4bb5c9909f798841610a661fff198ac77f8ebe622f1bee2cbc101a25cb40a418",
     "reduce/m_parity/y=11/T=4/run":
-        "397b470493012c5492e7f8dca8ec22212dc3fd9be853183e88bbef9117de260d",
+        "6c0a6a5b90726a2c064cea70e3e79a9dc1819d6fb73fbed09ee34cd896732c1e",
     "solve/fault/bad-literal":
         "d198f9b938127a99db7838e885c844e8c3e46e40caf52554bf7919178dfd37e6",
     "solve/fault/clause-before-header":

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from tmsatlab.corpus import check_solver_agreement
 from tmsatlab.machine import accepts_within
-from tmsatlab.reduction import LabeledFormula, reduce_machine
+from tmsatlab.reduction import (
+    GROUPS,
+    LabeledFormula,
+    clause_counts,
+    input_part,
+    reduce_machine,
+    run_part,
+)
 from tmsatlab.sat import (
     DIMACS_VAR_LIMIT,
     BruteForceGuardError,
@@ -259,6 +266,32 @@ class TestDimacs:
         f = LabeledFormula(grid, {"G1": ((1,), ()), "G6": ((2, 3),)}, "1")
         with pytest.raises(ValueError, match="^empty clause$"):
             to_dimacs(f)
+
+    @pytest.mark.parametrize("part", [lambda f: f, input_part, run_part],
+                             ids=["all", "input", "run"])
+    def test_one_group_line_before_each_group(self, m_parity, part):
+        # The input and run parts have empty groups, which read `none`.
+        f = part(reduce_machine(m_parity, "11", 3))
+        lines = to_dimacs(f).splitlines()
+        header = lines.index(f"p cnf {f.var_count} {f.clause_count}")
+        assert all(line.startswith("c var ") for line in lines[:header])
+        body = lines[header + 1:]
+        marks = [i for i, line in enumerate(body) if line.startswith("c")]
+        assert [body[i].split()[2] for i in marks] == list(GROUPS)
+        first = 1
+        for (group, count), start, stop in zip(clause_counts(f).items(), marks,
+                                               marks[1:] + [len(body)]):
+            span = f"{first}-{first + count - 1}" if count else "none"
+            assert body[start] == f"c group {group} clauses {span}"
+            rows = [tuple(map(int, row.split())) for row in body[start + 1:stop]]
+            assert all(row[-1] == 0 for row in rows)
+            assert [row[:-1] for row in rows] == list(f.groups[group])
+            first += count
+        assert first == f.clause_count + 1
+
+    def test_plain_text_has_no_group_line(self, m_accept1):
+        text = to_dimacs(to_cnf(reduce_machine(m_accept1, "1", 2)))
+        assert not any(line.startswith("c") for line in text.splitlines())
 
     def test_labeled_text_is_read_in_bulk(self, m_accept1):
         text = to_dimacs(reduce_machine(m_accept1, "1", 2))
