@@ -20,8 +20,14 @@ Target = Tuple[str, str, str]
 RuleKey = Tuple[str, str]
 # About 3,000x the benchmark's largest oracle search (33 configurations,
 # m_loop at T=32). A machine that writes 0 or 1 on each new cell reaches
-# it at T=16, in about 48 MiB peak; its search at T=24 would need gigabytes.
+# it at T=16, storing 1,568,963 tape cells in about 47 MiB peak RSS; its
+# search at T=24 would need gigabytes.
 ORACLE_CONFIG_LIMIT = 100_000
+# Each configuration stores its whole tape, so a machine that only moves
+# right stores about T^2/2 cells in T+1 configurations, 128 million at
+# T=16,000. At this limit (T=2,826) it peaks at about 53 MiB RSS; the
+# benchmark's largest search stores 564 cells.
+ORACLE_CELL_LIMIT = 4_000_000
 
 
 class MachineError(Exception):
@@ -42,7 +48,7 @@ class MachineSemanticError(MachineError):
 
 class OracleLimitError(MachineError):
     """A bounded search that would visit more than ORACLE_CONFIG_LIMIT
-    configurations."""
+    configurations or store more than ORACLE_CELL_LIMIT tape cells."""
 
 
 class IllegalHistoryError(MachineError):
@@ -247,19 +253,22 @@ def initial_configuration(m: Machine, input_str: str) -> Configuration:
     return Configuration(state=m.start, head=0, tape=tape)
 
 
+def moved_head(head: int, move: str) -> int:
+    """The cell a move takes the head to: a left move clamps at cell 0."""
+    if move == LEFT:
+        return max(0, head - 1)
+    return head + 1 if move == RIGHT else head
+
+
 def apply_target(c: Configuration, target: Target, blank: str) -> Configuration:
-    """Write, then move; clamp a left move at cell 0, extend on a right
-    move at the last cell."""
+    """Write, then move the head as `moved_head` does; a right move off
+    the last cell grows the tape by a blank."""
     nxt, write, move = target
     tape = list(c.tape)
     tape[c.head] = write
-    head = c.head
-    if move == LEFT:
-        head = max(0, head - 1)
-    elif move == RIGHT:
-        head += 1
-        if head == len(tape):
-            tape.append(blank)
+    head = moved_head(c.head, move)
+    if head == len(tape):
+        tape.append(blank)
     return Configuration(state=nxt, head=head, tape=tuple(tape))
 
 
@@ -294,7 +303,8 @@ def accepts_within(m: Machine, input_str: str, bound: int):
     level cannot lie on a shortest accepting path.
 
     Raises OracleLimitError instead of visiting more than
-    ORACLE_CONFIG_LIMIT configurations.
+    ORACLE_CONFIG_LIMIT configurations or storing more than
+    ORACLE_CELL_LIMIT tape cells, counted over the stored configurations.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -302,6 +312,7 @@ def accepts_within(m: Machine, input_str: str, bound: int):
     if init.state == m.accept:
         return True, ComputationHistory((init,), input_str)
     parent: Dict[Configuration, Optional[Configuration]] = {init: None}
+    cells = len(init.tape)
     frontier = [init]
     for _ in range(bound):
         nxt: List[Configuration] = []
@@ -310,6 +321,7 @@ def accepts_within(m: Machine, input_str: str, bound: int):
                 if nc in parent:
                     continue
                 parent[nc] = c
+                cells += len(nc.tape)
                 if nc.state == m.accept:
                     configs = [nc]
                     while parent[configs[-1]] is not None:
@@ -319,6 +331,10 @@ def accepts_within(m: Machine, input_str: str, bound: int):
                     raise OracleLimitError(
                         f"search exceeds the oracle's limit of {ORACLE_CONFIG_LIMIT} "
                         f"configurations (ORACLE_CONFIG_LIMIT) at bound {bound}")
+                if cells > ORACLE_CELL_LIMIT:
+                    raise OracleLimitError(
+                        f"search exceeds the oracle's limit of {ORACLE_CELL_LIMIT} "
+                        f"stored tape cells (ORACLE_CELL_LIMIT) at bound {bound}")
                 nxt.append(nc)
         frontier = nxt
         if not frontier:

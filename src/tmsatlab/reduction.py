@@ -14,12 +14,11 @@ from itertools import combinations, count
 from typing import Dict, Iterator, List, NamedTuple, Tuple, Union
 
 from .machine import (
-    LEFT,
-    RIGHT,
     ComputationHistory,
     Configuration,
     Machine,
     initial_configuration,
+    moved_head,
     used_rule_indices,
 )
 
@@ -127,14 +126,6 @@ def _exactly_one(ids: List[int]) -> List[Tuple[int, ...]]:
     return [tuple(ids)] + [(-a, -b) for a, b in combinations(ids, 2)]
 
 
-def _moved_head(j: int, move: str, bound: int) -> int:
-    if move == LEFT:
-        return max(0, j - 1)
-    if move == RIGHT:
-        return min(bound, j + 1)
-    return j
-
-
 def _check_bound(bound: int):
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -199,17 +190,21 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
     g5.append((g.q[(T, m.accept)],))
 
     # G6: transition semantics via selector variables, plus frame clauses.
+    # moved[r][j]: the cell rule r moves the head to from cell j, clamped
+    # at T.
+    moved = [[min(T, moved_head(j, move)) for j in range(T + 1)] for *_, move in g.rules]
     for i in range(T):
         g6.append(tuple(g.tr[(i, r)] for r in g.tr_keys))
-        for r, (state, symbol, nxt, write, move) in enumerate(g.rules):
+        for r, (state, symbol, nxt, write, _) in enumerate(g.rules):
             tr = g.tr[(i, r)]
             g6.append((-tr, g.q[(i, state)]))
             g6.append((-tr, g.q[(i + 1, nxt)]))
+            to = moved[r]
             for j in range(T + 1):
                 hij = g.h[(i, j)]
                 g6.append((-tr, -hij, g.s[(i, j, symbol)]))
                 g6.append((-tr, -hij, g.s[(i + 1, j, write)]))
-                g6.append((-tr, -hij, g.h[(i + 1, _moved_head(j, move, T))]))
+                g6.append((-tr, -hij, g.h[(i + 1, to[j])]))
         pad = g.tr[(i, PAD)]
         g6.append((-pad, g.q[(i, m.accept)]))
         g6.append((-pad, g.q[(i + 1, m.accept)]))

@@ -155,10 +155,11 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     # watches[lit] are indexed by the literal itself: -v wraps into the
     # upper half. implied[lit] lists the literals that binary clauses
     # make true once lit is true; watches[lit] lists the clauses of three
-    # or more literals that watch lit. `_index` fills both in one pass
-    # over the clauses and makes a list only for a literal it puts
-    # something on, or that a watch can move to; the rest stay None, so a
-    # large, sparse formula allocates little.
+    # or more literals that watch lit. `_index` fills both, in one pass
+    # over the formula's clauses and then with each clause learnt, and
+    # makes a list only for a literal it puts something on, or that a
+    # watch can move to; the rest stay None, so a large, sparse formula
+    # allocates little.
     # level[lit] and reason[lit] describe a true literal on the trail: its
     # decision level, and the literal that implied it through a binary
     # clause, the longer clause that implied it, or None (a decision or a
@@ -300,11 +301,11 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
                 f"({LEARNT_LITERAL_LIMIT} literals)")
         # Backjump to the highest level among the lower literals, where
         # the clause asserts its first literal.
-        uip = clause[0]
-        if len(clause) > 1:
+        k = len(clause)
+        if k > 1:
             # The literal of the highest level goes to the second slot,
             # the other watch of a long clause.
-            top = max(range(1, len(clause)), key=lambda k: level[-clause[k]])
+            top = max(range(1, k), key=lambda t: level[-clause[t]])
             clause[1], clause[top] = clause[top], clause[1]
             b = level[-clause[1]]
         else:
@@ -316,21 +317,11 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
             val[lit] = val[-lit] = None
         undone += len(trail) - mark
         del trail[mark:], marks[b:]
-        if len(clause) == 1:
-            pending, why = [uip], [None]
-        elif len(clause) == 2:
-            q = clause[1]
-            for lit, imp in ((-q, uip), (-uip, q)):
-                if implied[lit] is None:
-                    implied[lit] = []
-                implied[lit].append(imp)
-            pending, why = [uip], [-q]
-        else:
-            for lit in clause[:2]:
-                if watches[lit] is None:
-                    watches[lit] = []
-                watches[lit].append(clause)
-            pending, why = [uip], [clause]
+        # Store the clause as the formula's are, and assert its first
+        # literal. A long clause's reason is `clause`, not the copy that
+        # `_index` watches: both keep one order while that literal is true.
+        _index((clause,), [], implied, watches)
+        pending, why = [clause[0]], [None if k == 1 else -clause[1] if k == 2 else clause]
 
 
 def _distinct(clause: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -340,13 +331,14 @@ def _distinct(clause: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     return [] if any(-lit in clause for lit in clause) else [clause]
 
 
-def _index(clauses: Iterable[Tuple[int, ...]], units: List[int],
+def _index(clauses: Iterable[Sequence[int]], units: List[int],
            implied: List[Optional[List[int]]],
            watches: List[Optional[List[List[int]]]]):
-    """Put each clause where `solve_dpll` reads it, in one pass in clause
-    order: a unit on `units`, a binary (a, b) as b on implied[-a] and a
-    on implied[-b], a longer clause, copied to a list, on the watch lists
-    of its first two literals. A list is made when first used, and every
+    """Put each clause, of the formula or learnt, where `solve_dpll` reads
+    it, in one pass in clause order: a unit on `units`, a binary (a, b)
+    as b on implied[-a] and a on implied[-b], a longer clause, copied to a
+    list, on the watch lists of its first two literals. The only code
+    that makes these lists: a list is made when first used, and every
     literal of a longer clause gets a watch list, since a watch can move
     to any of them. A clause of two or three literals is tested for a
     repeated variable literal by literal, a longer one by the set of its

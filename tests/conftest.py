@@ -48,6 +48,24 @@ rule: q0 1 -> q0 1 R
 
 
 @pytest.fixture(scope="session")
+def right_moving_text():
+    """A machine that moves right forever and never accepts: one
+    configuration per step, the one at step t with a tape of at least
+    t + 1 cells."""
+    return """\
+states: q0 qacc
+start: q0
+accept: qacc
+blank: _
+input_alphabet: 0 1
+tape_alphabet: 0 1 _
+rule: q0 0 -> q0 0 R
+rule: q0 1 -> q0 1 R
+rule: q0 _ -> q0 _ R
+"""
+
+
+@pytest.fixture(scope="session")
 def pigeonhole():
     """4 pigeons in 3 holes: every pigeon in some hole, no two in one.
     Unsatisfiable, and not refuted by unit propagation alone, so the

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tmsatlab import cli, parity, sat
+from tmsatlab import cli, machine, parity, sat
 from tmsatlab.cli import main
 from tmsatlab.fixtures import fixture_text
 from tmsatlab.machine import ORACLE_CONFIG_LIMIT
@@ -172,20 +172,40 @@ class TestVerify:
         assert "agree" in capsys.readouterr().out
 
 
+def _machine_args(tmp_path, command, text):
+    """The arguments that give `command` the machine `text`: for kim, as
+    the base and as the library's one entry."""
+    path = tmp_path / "m.tm"
+    path.write_text(text)
+    if command[0] != "kim":
+        return ["-m", str(path)]
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "lib" / "e0.tm").write_text(text)
+    return ["--library", str(tmp_path / "lib"), "--base", str(path)]
+
+
 @pytest.mark.parametrize("command", [["verify"], ["history", "extract"], ["kim", "run"]])
 def test_oracle_over_configuration_limit(tmp_path, capsys, command, tape_growing_text):
-    path = tmp_path / "grow.tm"
-    path.write_text(tape_growing_text)
-    if command[0] == "kim":
-        (tmp_path / "lib").mkdir()
-        (tmp_path / "lib" / "e0.tm").write_text(tape_growing_text)
-        where = ["--library", str(tmp_path / "lib"), "--base", str(path)]
-    else:
-        where = ["-m", str(path)]
+    where = _machine_args(tmp_path, command, tape_growing_text)
     assert main([*command, *where, "-i", "", "-T", "24"]) == 2
     err = capsys.readouterr().err
     assert f"limit of {ORACLE_CONFIG_LIMIT} configurations" in err
     assert "ORACLE_CONFIG_LIMIT" in err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["history", "extract"], ["kim", "run"]])
+def test_oracle_over_cell_limit(tmp_path, capsys, command, right_moving_text):
+    """A search of few configurations whose tapes grow is refused by the
+    cells it stores: within T steps on input "1" the right-mover stores
+    (T + 1)(T + 2) / 2 cells. The oracle runs before any reduction."""
+    bound = 1
+    while (bound + 1) * (bound + 2) // 2 <= machine.ORACLE_CELL_LIMIT:
+        bound += 1
+    where = _machine_args(tmp_path, command, right_moving_text)
+    assert main([*command, *where, "-i", "1", "-T", str(bound)]) == 2
+    err = capsys.readouterr().err
+    assert f"limit of {machine.ORACLE_CELL_LIMIT} stored tape cells" in err
+    assert "ORACLE_CELL_LIMIT" in err
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])

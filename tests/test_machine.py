@@ -194,6 +194,16 @@ class TestBoundedSearch:
         with pytest.raises(OracleLimitError, match="limit of 15 configurations"):
             accepts_within(m, "", 4)
 
+    def test_cell_limit(self, monkeypatch, right_moving_text):
+        # On input "1" the configurations stored within T steps hold
+        # 1 + 2 + ... + (T + 1) cells: 21 at T=5, 28 at T=6.
+        monkeypatch.setattr(machine, "ORACLE_CELL_LIMIT", 21)
+        m = parse_machine(right_moving_text, name="right")
+        assert accepts_within(m, "1", 5) == (False, None)
+        with pytest.raises(OracleLimitError,
+                           match=r"limit of 21 stored tape cells \(ORACLE_CELL_LIMIT\)"):
+            accepts_within(m, "1", 6)
+
 
 @pytest.mark.parametrize(
     "m", fixture_machines() + random_corpus(RANDOM_MACHINE_SEED, 52),

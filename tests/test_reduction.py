@@ -5,9 +5,11 @@ import pytest
 
 from tmsatlab.machine import (
     ComputationHistory,
+    Configuration,
     Machine,
     TransitionTable,
     accepts_within,
+    apply_target,
     initial_configuration,
 )
 from tmsatlab.reduction import (
@@ -71,6 +73,28 @@ class TestReduce:
         a = to_dimacs(reduce_machine(m_parity, "11", 4))
         b = to_dimacs(reduce_machine(m_parity, "11", 4))
         assert a == b
+
+
+@pytest.mark.parametrize("move", ["L", "R", "S"])
+def test_head_clause_moves_as_the_simulator(move):
+    """G6's head clause for a rule names H(i+1, .) at the cell that
+    `apply_target` moves the head to, clamped at T: from cells 0 and 1,
+    and from cell T, which no run within T steps reaches."""
+    T = 3
+    target = ("q0", "0", move)
+    m = Machine(name="mover", states=frozenset(["q0", "qa"]),
+                input_alphabet=frozenset(["0"]), tape_alphabet=frozenset(["0", "_"]),
+                blank="_", table=TransitionTable({("q0", "0"): (target,)}),
+                start="q0", accept="qa")
+    f = reduce_machine(m, "0", T)
+    g = f.grid
+    cell = {vid: key for key, vid in g.h.items()}
+    for i in range(T):
+        for j in (0, 1, T):
+            heads = [cell[c[2]] for c in f.groups["G6"]
+                     if c[:2] == (-g.tr[(i, 0)], -g.h[(i, j)]) and c[2] in cell]
+            moved = apply_target(Configuration("q0", j, ("0",) * (T + 1)), target, "_")
+            assert heads == [(i + 1, min(T, moved.head))], (i, j)
 
 
 class TestPartition:
