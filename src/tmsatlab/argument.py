@@ -1,16 +1,19 @@
-"""Propositional argument checking by truth-table enumeration.
+"""Propositional argument checking by truth tables.
 
 Formulas are small expression trees over named atoms; arguments are
-premise lists with a conclusion. Validity is decided by exhaustive
-enumeration, with an explicit vacuity flag for arguments whose premises
-are jointly unsatisfiable.
+premise lists with a conclusion. A formula's truth table over the sorted
+atoms is one int, built from `sat.truth_table_masks` in one pass over
+the formula (`_table`). Validity, the vacuity flag (the premises are
+jointly unsatisfiable) and the first counterexample are read off the
+premises' and the conclusion's tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+
+from .sat import truth_table_masks
 
 ATOM_GUARD = 20
 # Formulas are printed and evaluated recursively, so their operator
@@ -47,48 +50,46 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
+class _Binary:
+    """A binary connective: each subclass has its `symbol`, its parser
+    `precedence` (higher binds tighter) and its `table` operation."""
+
     left: "PropFormula"
     right: "PropFormula"
 
     def __str__(self):
-        return f"{_wrap(self.left)} & {_wrap(self.right)}"
+        return f"{_wrap(self.left)} {self.symbol} {_wrap(self.right)}"
 
 
 @dataclass(frozen=True)
-class Or:
-    left: "PropFormula"
-    right: "PropFormula"
-
-    def __str__(self):
-        return f"{_wrap(self.left)} | {_wrap(self.right)}"
+class And(_Binary):
+    symbol, precedence = "&", 4
+    table = staticmethod(lambda left, right, full: left & right)
 
 
 @dataclass(frozen=True)
-class Implies:
-    left: "PropFormula"
-    right: "PropFormula"
-
-    def __str__(self):
-        return f"{_wrap(self.left)} -> {_wrap(self.right)}"
+class Or(_Binary):
+    symbol, precedence = "|", 3
+    table = staticmethod(lambda left, right, full: left | right)
 
 
 @dataclass(frozen=True)
-class Iff:
-    left: "PropFormula"
-    right: "PropFormula"
+class Implies(_Binary):
+    symbol, precedence = "->", 2
+    table = staticmethod(lambda left, right, full: (full ^ left) | right)
 
-    def __str__(self):
-        return f"{_wrap(self.left)} <-> {_wrap(self.right)}"
+
+@dataclass(frozen=True)
+class Iff(_Binary):
+    symbol, precedence = "<->", 1
+    table = staticmethod(lambda left, right, full: full ^ left ^ right)
 
 
 PropFormula = Union[Atom, Not, And, Or, Implies, Iff]
 
 
 def _wrap(f: PropFormula) -> str:
-    if isinstance(f, (Atom, Not)):
-        return str(f)
-    return f"({f})"
+    return f"({f})" if isinstance(f, _Binary) else str(f)
 
 
 @dataclass
@@ -125,8 +126,7 @@ def _tokenize(text: str) -> List[str]:
     return out
 
 
-# Binary operators: (precedence, node); a higher precedence binds tighter.
-_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+_BINARY = {node.symbol: node for node in (Iff, Implies, Or, And)}
 
 
 class _Parser:
@@ -157,8 +157,9 @@ class _Parser:
     def binary(self, min_prec: int) -> PropFormula:
         """Operands joined by operators of precedence at least min_prec."""
         left = self.unary()
-        while self.peek() in _BINARY and _BINARY[self.peek()][0] >= min_prec:
-            prec, node = _BINARY[self.take()]
+        while self.peek() in _BINARY and _BINARY[self.peek()].precedence >= min_prec:
+            node = _BINARY[self.take()]
+            prec = node.precedence
             left = node(left, self.binary(prec if node is Implies else prec + 1))
         return left
 
@@ -214,37 +215,33 @@ def atoms(f: PropFormula) -> FrozenSet[str]:
     return atoms(f.left) | atoms(f.right)
 
 
+def _table(f: PropFormula, masks: Dict[str, int], full: int) -> int:
+    """f's truth table: bit p is f's value under assignment p, given each
+    atom's table in `masks` and the all-true table `full`."""
+    if isinstance(f, Atom):
+        if f.name not in masks:
+            raise ArgumentError(f"assignment missing atom {f.name!r}")
+        return masks[f.name]
+    if isinstance(f, Not):
+        return full ^ _table(f.operand, masks, full)
+    return f.table(_table(f.left, masks, full), _table(f.right, masks, full), full)
+
+
 def eval_prop(f: PropFormula, assignment: Dict[str, bool]) -> bool:
     """Truth-functional evaluation; the assignment must cover every atom."""
-    if isinstance(f, Atom):
-        if f.name not in assignment:
-            raise ArgumentError(f"assignment missing atom {f.name!r}")
-        return assignment[f.name]
-    if isinstance(f, Not):
-        return not eval_prop(f.operand, assignment)
-    left = eval_prop(f.left, assignment)
-    right = eval_prop(f.right, assignment)
-    if isinstance(f, And):
-        return left and right
-    if isinstance(f, Or):
-        return left or right
-    if isinstance(f, Implies):
-        return (not left) or right
-    return left == right  # Iff
+    bits = {name: 1 if value else 0 for name, value in assignment.items()}
+    return bool(_table(f, bits, 1))
 
 
-def _assignments(names: List[str]):
-    """All assignments in lexicographic order (false before true)."""
-    for values in product([False, True], repeat=len(names)):
-        yield dict(zip(names, values))
-
-
-def _guarded_atoms(formulas: List[PropFormula]) -> List[str]:
-    names = sorted(set().union(*[atoms(f) for f in formulas]) if formulas else set())
+def _masks(formulas: List[PropFormula]) -> Tuple[int, Dict[str, int]]:
+    """(full, masks) of `truth_table_masks` over the formulas' atoms in
+    sorted order, keyed by atom name. Refused above the atom guard."""
+    names = sorted(set().union(*map(atoms, formulas)))
     if len(names) > ATOM_GUARD:
         raise AtomGuardError(
             f"{len(names)} atoms exceeds the enumeration guard of {ATOM_GUARD}")
-    return names
+    full, masks = truth_table_masks(len(names))
+    return full, dict(zip(names, masks))
 
 
 def is_tautology(f: PropFormula) -> bool:
@@ -252,9 +249,11 @@ def is_tautology(f: PropFormula) -> bool:
 
 
 def is_satisfiable(formulas: List[PropFormula]) -> bool:
-    names = _guarded_atoms(formulas)
-    return any(
-        all(eval_prop(f, a) for f in formulas) for a in _assignments(names))
+    full, masks = _masks(formulas)
+    table = full
+    for f in formulas:
+        table &= _table(f, masks, full)
+    return table != 0
 
 
 @dataclass
@@ -268,21 +267,17 @@ def is_valid_argument(arg: ArgumentForm) -> ArgumentResult:
     """Truth-table validity: every assignment satisfying all premises must
     satisfy the conclusion. On failure, returns the lexicographically
     first counterexample."""
-    names = _guarded_atoms(arg.premises + [arg.conclusion])
-    premises_satisfiable = False
+    full, masks = _masks(arg.premises + [arg.conclusion])
+    premises = full
+    for p in arg.premises:
+        premises &= _table(p, masks, full)
+    failing = premises & (full ^ _table(arg.conclusion, masks, full))
     counterexample = None
-    for a in _assignments(names):
-        if all(eval_prop(p, a) for p in arg.premises):
-            premises_satisfiable = True
-            if not eval_prop(arg.conclusion, a):
-                counterexample = a
-                break
-    valid = counterexample is None
-    return ArgumentResult(
-        valid=valid,
-        vacuous=valid and not premises_satisfiable,
-        counterexample=counterexample,
-    )
+    if failing:
+        first = (failing & -failing).bit_length() - 1
+        counterexample = {name: bool(mask >> first & 1) for name, mask in masks.items()}
+    return ArgumentResult(valid=not failing, vacuous=not premises,
+                          counterexample=counterexample)
 
 
 def analyze_modus_tollens_schema() -> dict:
@@ -326,7 +321,8 @@ def analyze_argument(arg: ArgumentForm) -> dict:
             "premises": [str(p) for p in arg.premises],
             "conclusion": str(arg.conclusion),
         },
-        "premise_set_satisfiable": is_satisfiable(arg.premises),
+        # Unsatisfiable premises, and only they, make an argument vacuous.
+        "premise_set_satisfiable": not result.vacuous,
         "valid": result.valid,
         "vacuous": result.vacuous,
         "counterexample": result.counterexample,

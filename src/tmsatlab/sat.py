@@ -444,22 +444,14 @@ def check_refutation(f: CnfFormula, learnt: Sequence[Sequence[int]]) -> bool:
     return implied_by_propagation(())
 
 
-def solve_bruteforce(f: CnfFormula) -> SolveResult:
-    """Exhaustive truth-table evaluation over all 2^n assignments.
-
-    Assignments are ordered lexicographically (variable 1 most
-    significant, false before true); the first satisfying one is
-    returned. Refuses formulas above the variable guard.
-    """
-    n = f.var_count
-    if n > BRUTE_FORCE_VAR_LIMIT:
-        raise BruteForceGuardError(
-            f"{n} variables exceeds the brute-force guard of {BRUTE_FORCE_VAR_LIMIT}")
+def truth_table_masks(n: int) -> Tuple[int, List[int]]:
+    """(full, masks): the all-true table and the table of each of n
+    variables, masks[i] that of variable i + 1. Bit p of a table is its
+    value under assignment p; assignments run lexicographically (the first
+    variable most significant, false before true), so a table's lowest set
+    bit is its first true assignment."""
     total = 1 << n
-    full = (1 << total) - 1
-    # Bit p of a mask is assignment index p; var v is true in assignment a
-    # iff bit (n - v) of a is set.
-    var_mask: Dict[int, int] = {}
+    masks = []
     for v in range(1, n + 1):
         block = 1 << (n - v)
         mask = ((1 << block) - 1) << block
@@ -467,19 +459,30 @@ def solve_bruteforce(f: CnfFormula) -> SolveResult:
         while width < total:
             mask |= mask << width
             width *= 2
-        var_mask[v] = mask
+        masks.append(mask)
+    return (1 << total) - 1, masks
 
+
+def solve_bruteforce(f: CnfFormula) -> SolveResult:
+    """Exhaustive evaluation of all 2^n assignments, one `truth_table_masks`
+    table per clause; returns the first satisfying assignment in their
+    order. Refuses formulas above the variable guard."""
+    n = f.var_count
+    if n > BRUTE_FORCE_VAR_LIMIT:
+        raise BruteForceGuardError(
+            f"{n} variables exceeds the brute-force guard of {BRUTE_FORCE_VAR_LIMIT}")
+    full, masks = truth_table_masks(n)
     formula_mask = full
     for clause in f.clauses:
         clause_mask = 0
         for lit in clause:
-            m = var_mask[abs(lit)]
+            m = masks[abs(lit) - 1]
             clause_mask |= m if lit > 0 else (full ^ m)
         formula_mask &= clause_mask
         if not formula_mask:
             return SolveResult(False)
     first = (formula_mask & -formula_mask).bit_length() - 1
-    assignment = {v: bool((first >> (n - v)) & 1) for v in range(1, n + 1)}
+    assignment = {v: bool(masks[v - 1] >> first & 1) for v in range(1, n + 1)}
     return _verified(f, assignment)
 
 

@@ -1,6 +1,12 @@
+import json
+import random
+from dataclasses import FrozenInstanceError
+from itertools import product
+
 import pytest
 
 from tmsatlab.argument import (
+    And,
     ArgumentError,
     ArgumentForm,
     Atom,
@@ -10,6 +16,7 @@ from tmsatlab.argument import (
     Implies,
     NESTING_GUARD,
     Not,
+    Or,
     analyze_argument,
     analyze_modus_tollens_schema,
     atoms,
@@ -20,6 +27,7 @@ from tmsatlab.argument import (
     parse_argument_file,
     parse_formula,
 )
+from tmsatlab.sat import truth_table_masks
 
 
 class TestEval:
@@ -154,3 +162,132 @@ class TestAnalysis:
     def test_schema_file_requires_conclusion(self):
         with pytest.raises(FormulaSyntaxError):
             parse_argument_file("premise: p\n")
+
+
+def _reference_eval(f, assignment):
+    """Evaluation under one assignment, node by node: the reference for
+    the whole-table evaluator."""
+    if isinstance(f, Atom):
+        return assignment[f.name]
+    if isinstance(f, Not):
+        return not _reference_eval(f.operand, assignment)
+    left = _reference_eval(f.left, assignment)
+    right = _reference_eval(f.right, assignment)
+    if isinstance(f, And):
+        return left and right
+    if isinstance(f, Or):
+        return left or right
+    if isinstance(f, Implies):
+        return (not left) or right
+    return left == right  # Iff
+
+
+def _reference_assignments(formulas):
+    """All assignments to the formulas' sorted atoms, in lexicographic
+    order (false before true)."""
+    names = sorted(set().union(*map(atoms, formulas)))
+    for values in product([False, True], repeat=len(names)):
+        yield dict(zip(names, values))
+
+
+def _reference_satisfiable(formulas):
+    return any(all(_reference_eval(f, a) for f in formulas)
+               for a in _reference_assignments(formulas))
+
+
+def _reference_validity(arg):
+    """(valid, vacuous, counterexample), one assignment at a time."""
+    satisfiable, counterexample = False, None
+    for a in _reference_assignments(arg.premises + [arg.conclusion]):
+        if all(_reference_eval(p, a) for p in arg.premises):
+            satisfiable = True
+            if not _reference_eval(arg.conclusion, a):
+                counterexample = a
+                break
+    valid = counterexample is None
+    return valid, valid and not satisfiable, counterexample
+
+
+def _random_formula(rng, names, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return Atom(rng.choice(names))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Not(_random_formula(rng, names, depth - 1))
+    node = (And, Or, Implies, Iff)[kind - 1]
+    return node(_random_formula(rng, names, depth - 1),
+                _random_formula(rng, names, depth - 1))
+
+
+class TestAgainstReference:
+    """The truth-table engine agrees with evaluation one assignment at a
+    time, over seeded random arguments of at most 6 atoms."""
+
+    def test_random_arguments(self):
+        rng = random.Random(20)
+        outcomes = set()
+        for _ in range(3000):
+            names = [f"p{i}" for i in range(rng.randint(1, 6))]
+            premises = [_random_formula(rng, names, 3) for _ in range(rng.randint(0, 4))]
+            arg = ArgumentForm(premises, _random_formula(rng, names, 3))
+            formulas = premises + [arg.conclusion]
+            for a in _reference_assignments(formulas):
+                for f in formulas:
+                    assert eval_prop(f, a) == _reference_eval(f, a)
+            satisfiable = _reference_satisfiable(premises)
+            assert is_satisfiable(premises) == satisfiable
+            assert is_tautology(arg.conclusion) == all(
+                _reference_eval(arg.conclusion, a)
+                for a in _reference_assignments([arg.conclusion]))
+            valid, vacuous, counterexample = _reference_validity(arg)
+            result = is_valid_argument(arg)
+            assert (result.valid, result.vacuous) == (valid, vacuous)
+            assert result.counterexample == counterexample
+            expected = {
+                "schema": {"premises": [str(p) for p in premises],
+                           "conclusion": str(arg.conclusion)},
+                "premise_set_satisfiable": satisfiable,
+                "valid": valid,
+                "vacuous": vacuous,
+                "counterexample": counterexample,
+            }
+            assert json.dumps(analyze_argument(arg), indent=2) == json.dumps(expected, indent=2)
+            outcomes.add((valid, vacuous))
+        assert outcomes == {(True, False), (True, True), (False, False)}
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_masks_order_assignments_as_product(self, n):
+        full, masks = truth_table_masks(n)
+        rows = list(product([False, True], repeat=n))
+        assert full == (1 << len(rows)) - 1
+        assert len(masks) == n
+        assert [tuple(bool(m >> p & 1) for m in masks) for p in range(len(rows))] == rows
+
+
+class TestBinaryNodes:
+    NODES = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+
+    @pytest.mark.parametrize("node", NODES)
+    def test_frozen(self, node):
+        f = node(Atom("p"), Atom("q"))
+        for name in ("left", "right", "symbol", "table", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, name, Atom("r"))
+
+    @pytest.mark.parametrize("node", NODES)
+    def test_equality_and_hash(self, node):
+        p, q = Atom("p"), Atom("q")
+        f = node(p, q)
+        assert f == node(Atom("p"), Atom("q"))
+        assert hash(f) == hash(node(Atom("p"), Atom("q"))) == hash((p, q))
+        assert f != node(q, p)
+        assert f != (p, q)
+        assert all(f != other(p, q) for other in self.NODES if other is not node)
+
+    @pytest.mark.parametrize("node", NODES)
+    def test_repr_and_str(self, node):
+        f = node(Atom("p"), Not(Or(Atom("q"), Atom("r"))))
+        assert repr(f) == (f"{node.__name__}(left=Atom(name='p'), right=Not(operand="
+                           "Or(left=Atom(name='q'), right=Atom(name='r'))))")
+        assert str(f) == f"p {self.NODES[node]} !(q | r)"
+        assert str(node(f, Atom("s"))) == f"({f}) {self.NODES[node]} s"

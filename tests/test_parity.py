@@ -1,8 +1,11 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from tmsatlab import parity
 from tmsatlab.corpus import CORPUS_BOUND, CORPUS_INPUTS
-from tmsatlab.fixtures import fixture_machines, fixture_text
+from tmsatlab.fixtures import fixture_machines, fixture_text, random_corpus
 from tmsatlab.machine import (
     ComputationHistory,
     Configuration,
@@ -160,6 +163,39 @@ class TestSharedRunParts:
             report = run_parity_machine(pm, y)
             assert len(calls) == 2
             assert len(report.instances) == 5
+
+    @staticmethod
+    def variants(m, rng):
+        """Four copies of m with a random name, start state, blank, input
+        alphabet and reject state."""
+        states, symbols = sorted(m.states), sorted(m.tape_alphabet)
+        for v in range(4):
+            inputs = rng.sample(symbols, rng.randint(1, len(symbols)))
+            yield replace(m, name=f"{m.name}_{v}", start=rng.choice(states),
+                          blank=rng.choice(symbols), input_alphabet=frozenset(inputs),
+                          reject=rng.choice(states + [None]))
+
+    @staticmethod
+    def run_part_of(m, bound, rng):
+        """What run parts are compared by, on a random input of m."""
+        y = "".join(rng.choice(sorted(m.input_alphabet)) for _ in range(rng.randint(0, bound)))
+        f = run_part(reduce_machine(m, y, bound))
+        return f.groups, f.var_count, f.grid.signature, list(f.grid.labels())
+
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_equal_keys_give_identical_run_parts(self, bound):
+        # The README's claim that sharing rests on, over 40 random
+        # machines and the fixtures: a run part depends only on the bound,
+        # states, tape alphabet, accept state and rules.
+        rng = random.Random(bound)
+        pairs = 0
+        for m in random_corpus(20, 40) + fixture_machines():
+            expected = self.run_part_of(m, bound, rng)
+            for v in self.variants(m, rng):
+                assert parity._run_part_key(v, bound) == parity._run_part_key(m, bound)
+                assert self.run_part_of(v, bound, rng) == expected
+                pairs += 1
+        assert pairs == 44 * 4
 
     def test_start_and_input_alphabet_do_not_split_run_parts(self, monkeypatch):
         # The three machines differ only in start state or input alphabet,
