@@ -27,6 +27,7 @@ from .machine import (
 from .reduction import (
     ReductionError,
     _check_bound,
+    check_clause_limit,
     encode_history,
     input_part,
     reduce_machine,
@@ -112,6 +113,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     _check_bound(args.bound)
     m = _load_machine(args.machine)
+    check_clause_limit(m, args.bound)
     accepted, _ = accepts_within(m, args.input, args.bound)
     result = solve_dpll(to_cnf(reduce_machine(m, args.input, args.bound)))
     oracle = "accept" if accepted else "reject"
@@ -122,15 +124,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_history(args) -> int:
-    if args.action == "encode":
+    encode = args.action == "encode"
+    if encode:
         _check_bound(args.bound)
     m = _load_machine(args.machine)
+    if encode:
+        check_clause_limit(m, args.bound)
     accepted, witness = accepts_within(m, args.input, args.bound)
     if not accepted:
         print(f"{m.name} does not accept {args.input!r} within {args.bound} "
               "transitions", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    if args.action == "encode":
+    if encode:
         f, assignment = encode_history(m, witness, args.bound)
         lits = " ".join(str(v if assignment[v] else -v) for v in sorted(assignment))
         _emit(to_dimacs(f) + f"c induced-assignment: {lits}\n", args.output)
@@ -162,6 +167,7 @@ def _load_library(dir_path: str, bound: int):
     histories, names = [], []
     for tm_path in sorted(directory.glob("*.tm")):
         m = _load_machine(str(tm_path))
+        check_clause_limit(m, bound)
         in_path = tm_path.with_suffix(".in")
         y = _read_text(str(in_path)).strip() if in_path.exists() else ""
         try:
@@ -180,6 +186,8 @@ def _load_library(dir_path: str, bound: int):
 def _cmd_kim(args) -> int:
     _check_bound(args.bound)
     base = _load_machine(args.base)
+    if args.action != "build":  # only run and metrics reduce the base
+        check_clause_limit(base, args.bound)
     histories, names = _load_library(args.library, args.bound)
     pm = parity.build_parity_machine(histories, args.bound, base)
     if args.action == "build":

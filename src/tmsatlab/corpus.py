@@ -38,6 +38,7 @@ from .reduction import (
     induced_assignment,
     input_part,
     reduce_machine,
+    reduction_clause_count,
     run_part,
 )
 from .sat import (
@@ -189,12 +190,14 @@ def check_merge(histories: Sequence[History]) -> Tuple[int, int]:
 def check_parity_machine(histories: Sequence[History], bases: Sequence[Machine],
                          inputs: Sequence[str]) -> Tuple[int, int, int]:
     """One parity-machine run per base and input over the histories of at
-    most CORPUS_BOUND transitions. A run is good when its counts hold the
-    claims and every satisfiable instance decodes to a run of its entry's
-    table from the base's initial configuration on y that ends in the
-    entry's accept state. Returns (good runs, runs, satisfiable instances
-    checked)."""
+    most CORPUS_BOUND transitions. A run is good when each instance's j is
+    its entry's `reduction_clause_count`, i is the input part plus every j,
+    the claims hold, and every satisfiable instance decodes to a run of its
+    entry's table from the base's initial configuration on y that ends in
+    the entry's accept state. Returns (good runs, runs, satisfiable
+    instances checked)."""
     entries = [(m, h) for m, h in histories if h.transitions <= CORPUS_BOUND]
+    sizes = [reduction_clause_count(m, CORPUS_BOUND) for m, _ in entries]
     good = runs = satisfiable = 0
     for base in bases:
         pm = parity.build_parity_machine(entries, CORPUS_BOUND, base)
@@ -202,8 +205,10 @@ def check_parity_machine(histories: Sequence[History], bases: Sequence[Machine],
             report = parity.run_parity_machine(pm, y)
             runs += 1
             start = initial_configuration(base, y)
+            counts = [inst.clause_count for inst in report.instances]
             ok = (report.accept == (report.counter % 2 == 1)
-                  and report.cost >= report.input_clause_count)
+                  and counts == sizes
+                  and report.cost == report.input_clause_count + sum(counts))
             for inst in report.instances:
                 if not inst.satisfiable:
                     continue

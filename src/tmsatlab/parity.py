@@ -173,7 +173,9 @@ def transition_metrics(report: RunReport, chosen: int) -> Metrics:
 
 def check_counting_claims(m: Metrics) -> ClaimReport:
     """Pure arithmetic on a metrics triple: the strict chain i > j > k
-    excludes i = k."""
+    excludes i = k. The lab finds, and the paper does not claim, that the
+    chain holds on every satisfiable instance by size alone: j >= T+1 (G2's
+    at-least-one clauses) > T >= k, and i >= j + T + 3 (the input part)."""
     i_gt_j = m.i > m.j
     j_gt_k = m.j > m.k
     i_eq_k = m.i == m.k

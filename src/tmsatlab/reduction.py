@@ -157,15 +157,21 @@ def reduction_clause_count(m: Machine, bound: int) -> int:
             + T * (3 + r * (2 + 3 * (T + 1)) + (T + 1) * (1 + 2 * s)))  # G6
 
 
+def check_clause_limit(m: Machine, bound: int):
+    """Raise ReductionError when the reduction of m at `bound` would have
+    more than REDUCTION_CLAUSE_LIMIT clauses."""
+    size = reduction_clause_count(m, bound)
+    if size > REDUCTION_CLAUSE_LIMIT:
+        raise ReductionError(f"{size} clauses at bound {bound} exceeds the limit "
+                             f"of {REDUCTION_CLAUSE_LIMIT}")
+
+
 def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
     """The reduction: satisfiable iff m accepts input_str within `bound`
     transitions. Refuses, before building anything, a reduction of more
     than REDUCTION_CLAUSE_LIMIT clauses."""
     _check_input(m, input_str, bound)
-    size = reduction_clause_count(m, bound)
-    if size > REDUCTION_CLAUSE_LIMIT:
-        raise ReductionError(f"{size} clauses at bound {bound} exceeds the limit "
-                             f"of {REDUCTION_CLAUSE_LIMIT}")
+    check_clause_limit(m, bound)
     g = _Grid(m, bound)
     T = bound
     groups: List[List[Tuple[int, ...]]] = [[] for _ in GROUPS]

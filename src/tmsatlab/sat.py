@@ -16,8 +16,10 @@ CLI's `solve` and the property suite run it.
 A clause is a tuple of int literals all the way from the reduction to
 the solver: `to_cnf` chains the reduction's own tuples group by group,
 and `from_dimacs` cuts its clauses out of one tuple of tokens. `_index`
-says how the solver stores them; `to_dimacs` and `_scan_bulk` say how
-DIMACS literals are converted.
+says how the solver stores them; `to_dimacs` and `from_dimacs` say how
+DIMACS literals are converted. The reader parses the header once and
+reads the body in bulk; only a token the bulk pass cannot convert makes
+it re-read the body line by line.
 """
 
 from __future__ import annotations
@@ -526,11 +528,37 @@ def to_dimacs(f) -> str:
 def from_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text of at most DIMACS_VAR_LIMIT variables.
 
-    A text whose first non-comment line is a valid header and whose later
-    lines hold only integers and comments is scanned in bulk. Any other
-    text has a fault, and the line-by-line scan names it.
+    The header is the first line that is neither blank nor a comment. The
+    body, the non-comment lines after it, is converted in runs of
+    _BULK_LINES lines: through a string-to-literal table when it has more
+    lines than the 2n+1 literals of its n variables, else by `int`. A
+    token that this refuses, a second header's "p" among them, sends the
+    lines after the header through `_line_tokens`, which names the first
+    faulty line, or reads by `int` the tokens the table only lacked ("+1",
+    "01", a literal above n).
     """
-    (var_count, clause_count), tokens = _scan_bulk(text) or _scan_lines(text)
+    lines = text.splitlines()
+    for at, line in enumerate(lines):
+        line = line.strip()
+        if line and not line.startswith("c"):
+            break
+    else:
+        raise DimacsError("missing 'p cnf' header")
+    if not line.startswith("p"):
+        raise DimacsError(f"line {at + 1}: clause before header")
+    n, clause_count = _header(line, at + 1)
+    body = [raw for raw in lines[at + 1:] if not raw.lstrip().startswith("c")]
+    del lines
+    convert = int
+    if len(body) > 2 * n + 1:
+        convert = dict(zip(map(str, range(-n, n + 1)), range(-n, n + 1))).__getitem__
+    tokens: List[int] = []
+    try:
+        for i in range(0, len(body), _BULK_LINES):
+            tokens += map(convert, " ".join(body[i:i + _BULK_LINES]).split())
+    except (KeyError, ValueError):
+        tokens = _line_tokens(text.splitlines(), at + 1)
+    del body
     # Each clause is a slice of one tuple of every token, up to its 0.
     tokens = tuple(tokens)
     clauses: List[Tuple[int, ...]] = []
@@ -549,7 +577,7 @@ def from_dimacs(text: str) -> CnfFormula:
         raise DimacsError(
             f"header claims {clause_count} clauses, found {len(clauses)}")
     try:
-        return CnfFormula(var_count, clauses)
+        return CnfFormula(n, clauses)
     except ValueError as exc:  # a literal out of range
         raise DimacsError(str(exc)) from exc
 
@@ -571,69 +599,19 @@ def _header(line: str, lineno: int) -> Tuple[int, int]:
     return header
 
 
-def _scan_bulk(text: str) -> Optional[Tuple[Tuple[int, int], List[int]]]:
-    """The header and literal tokens of a text whose first non-comment
-    line is a valid header and whose later non-comment lines hold only
-    integers, converted over joined runs of lines; None for any other
-    text, whose fault `_scan_lines` names.
-
-    A text of more clause lines than the 2n+1 literals of its n
-    variables pays for a string-to-literal table; a run with a token the
-    table lacks ("+1", "01", a literal above n) is converted by `int`,
-    as is every run of a shorter text."""
-    lines = text.splitlines()
-    for at, line in enumerate(lines):
-        line = line.strip()
-        if line and not line.startswith("c"):
-            break
-    else:
-        return None
-    if not line.startswith("p"):
-        return None
-    try:
-        header = _header(line, at + 1)
-    except DimacsError:
-        return None
-    body = [raw for raw in lines[at + 1:] if not raw.lstrip().startswith("c")]
-    del lines
-    n = header[0]
-    convert = int
-    if len(body) > 2 * n + 1:
-        convert = dict(zip(map(str, range(-n, n + 1)), range(-n, n + 1))).__getitem__
+def _line_tokens(lines: List[str], start: int) -> List[int]:
+    """The literal tokens of lines[start:], read line by line by `int`;
+    raises DimacsError naming the first line that is a second header or
+    holds a token that is no integer."""
     tokens: List[int] = []
-    try:
-        # A second header fails here too: its first token is no integer.
-        for i in range(0, len(body), _BULK_LINES):
-            words = " ".join(body[i:i + _BULK_LINES]).split()
-            try:
-                tokens += list(map(convert, words))
-            except KeyError:  # a token the table lacks
-                tokens += map(int, words)
-    except ValueError:
-        return None
-    return header, tokens
-
-
-def _scan_lines(text: str) -> Tuple[Tuple[int, int], List[int]]:
-    """The header and literal tokens, read line by line; raises
-    DimacsError naming the first line at fault."""
-    header: Optional[Tuple[int, int]] = None
-    tokens: List[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
-            if header is not None:
-                raise DimacsError(f"line {lineno}: duplicate header")
-            header = _header(line, lineno)
-            continue
-        if header is None:
-            raise DimacsError(f"line {lineno}: clause before header")
+            raise DimacsError(f"line {lineno}: duplicate header")
         try:
-            tokens.extend(int(tok) for tok in line.split())
+            tokens += map(int, line.split())
         except ValueError:
             raise DimacsError(f"line {lineno}: bad literal in {line!r}")
-    if header is None:
-        raise DimacsError("missing 'p cnf' header")
-    return header, tokens
+    return tokens

@@ -9,13 +9,14 @@ machines at T=4, on inputs of length at most 3: 336 cases.
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
 from tmsatlab import corpus as suite
-from tmsatlab import machine
+from tmsatlab import machine, parity
 from tmsatlab.cli import main
-from tmsatlab.fixtures import fixture_machines
+from tmsatlab.fixtures import fixture_machines, load_fixture
 from tmsatlab.reduction import LabeledFormula, reduce_machine
 
 
@@ -85,6 +86,26 @@ def test_criterion_4_counting_claims(histories):
     assert satisfiable > 0, "no satisfiable instance in any run"
     print(f"\nPASS criterion 4: i > j > k on {satisfiable} satisfiable "
           f"instances across {runs} runs")
+
+
+def test_criterion_4_sees_a_shared_run_part_charged_once(monkeypatch):
+    # Fixture entries that share a run part must each be charged in the
+    # cost i; charging the shared part once must fail the check on the
+    # `corpus-test` run.
+    run = parity.run_parity_machine
+
+    def charge_shared_once(pm, y):
+        report = run(pm, y)
+        parts = {id(part): part.clause_count for part in pm.library}
+        cost = report.input_clause_count * (len(pm.library) + 1) + sum(parts.values())
+        return replace(report, cost=cost)
+
+    records = suite.corpus_records(0, suite.CORPUS_BOUND)
+    histories = suite.accepted_histories(records)
+    base = [load_fixture("m_accept1")]
+    assert suite.check_parity_machine(histories, base, ("0", "1"))[:2] == (2, 2)
+    monkeypatch.setattr(parity, "run_parity_machine", charge_shared_once)
+    assert suite.check_parity_machine(histories, base, ("0", "1"))[:2] == (0, 2)
 
 
 def test_criterion_5_merge_properties(histories):

@@ -11,7 +11,12 @@ from tmsatlab.argument import NESTING_GUARD
 from tmsatlab.cli import main
 from tmsatlab.fixtures import fixture_text
 from tmsatlab.machine import ORACLE_CONFIG_LIMIT
-from tmsatlab.reduction import REDUCTION_CLAUSE_LIMIT, LabeledFormula, input_part
+from tmsatlab.reduction import (
+    REDUCTION_CLAUSE_LIMIT,
+    LabeledFormula,
+    input_part,
+    reduction_clause_count,
+)
 
 
 @pytest.fixture()
@@ -186,6 +191,14 @@ def _machine_args(tmp_path, command, text):
     return ["--library", str(tmp_path / "lib"), "--base", str(path)]
 
 
+@pytest.fixture()
+def no_oracle(monkeypatch):
+    """Any call of the oracle from the CLI fails the command (exit 70)."""
+    def oracle(*args):
+        raise AssertionError("the oracle ran")
+    monkeypatch.setattr(cli, "accepts_within", oracle)
+
+
 @pytest.mark.parametrize("command", [["verify"], ["history", "extract"], ["kim", "run"]])
 def test_oracle_over_configuration_limit(tmp_path, capsys, command, tape_growing_text):
     where = _machine_args(tmp_path, command, tape_growing_text)
@@ -199,27 +212,72 @@ def test_oracle_over_configuration_limit(tmp_path, capsys, command, tape_growing
 def test_oracle_over_cell_limit(tmp_path, capsys, command, right_moving_text):
     """A search of few configurations whose tapes grow is refused by the
     cells it stores: within T steps on input "1" the right-mover stores
-    (T + 1)(T + 2) / 2 cells. The oracle runs before any reduction."""
+    (T + 1)(T + 2) / 2 cells. Only `history extract` reduces nothing and
+    reaches the oracle; the commands that reduce refuse such a bound by
+    its clause count first."""
     bound = 1
     while (bound + 1) * (bound + 2) // 2 <= machine.ORACLE_CELL_LIMIT:
         bound += 1
     where = _machine_args(tmp_path, command, right_moving_text)
     assert main([*command, *where, "-i", "1", "-T", str(bound)]) == 2
     err = capsys.readouterr().err
-    assert f"limit of {machine.ORACLE_CELL_LIMIT} stored tape cells" in err
-    assert "ORACLE_CELL_LIMIT" in err
+    if command == ["history", "extract"]:
+        assert f"limit of {machine.ORACLE_CELL_LIMIT} stored tape cells" in err
+        assert "ORACLE_CELL_LIMIT" in err
+    else:
+        assert f"at bound {bound} exceeds the limit of {REDUCTION_CLAUSE_LIMIT}\n" in err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["history", "encode"],
+                                     ["kim", "build"], ["kim", "run"], ["kim", "metrics"]],
+                         ids="-".join)
+def test_clause_guard_runs_before_the_oracle(tmp_path, capsys, no_oracle, command,
+                                             right_moving_text):
+    """At the least bound whose reduction the clause guard refuses, no
+    command that reduces runs the oracle: for kim the library entry, and
+    for run and metrics the base too, is checked as it is loaded."""
+    m = machine.parse_machine(right_moving_text)
+    bound = 1
+    while reduction_clause_count(m, bound) <= REDUCTION_CLAUSE_LIMIT:
+        bound += 1
+    where = _machine_args(tmp_path, command, right_moving_text)
+    assert main([*command, *where, "-i", "1", "-T", str(bound)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {reduction_clause_count(m, bound)} clauses at bound {bound} "
+        f"exceeds the limit of {REDUCTION_CLAUSE_LIMIT}\n")
+
+
+@pytest.mark.parametrize("action", ["run", "metrics"])
+def test_kim_checks_the_base_before_the_oracle(tmp_path, capsys, no_oracle, action):
+    """`kim run` and `kim metrics` reduce the base too, so a base over the
+    clause guard is refused before the oracle runs on an entry within it."""
+    symbols = "0 1 _ a b c d e f g h".split()  # a wider grid than the entry's
+    base = tmp_path / "wide.tm"
+    base.write_text("states: q0 qacc\nstart: q0\naccept: qacc\nblank: _\n"
+                    f"input_alphabet: 0 1\ntape_alphabet: {' '.join(symbols)}\n"
+                    + "".join(f"rule: q0 {x} -> q0 {x} R\n" for x in symbols))
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "lib" / "e0.tm").write_text(fixture_text("m_accept1"))
+    wide = machine.parse_machine(base.read_text())
+    bound = 1
+    while reduction_clause_count(wide, bound) <= REDUCTION_CLAUSE_LIMIT:
+        bound += 1
+    assert reduction_clause_count(machine.parse_machine(fixture_text("m_accept1")),
+                                  bound) <= REDUCTION_CLAUSE_LIMIT
+    assert main(["kim", action, "--library", str(tmp_path / "lib"), "--base", str(base),
+                 "-i", "1", "-T", str(bound)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {reduction_clause_count(wide, bound)} clauses at bound {bound} "
+        f"exceeds the limit of {REDUCTION_CLAUSE_LIMIT}\n")
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
 @pytest.mark.parametrize("command", [["reduce"], ["verify"], ["history", "encode"],
                                      ["kim", "build"], ["kim", "run"], ["kim", "metrics"]],
                          ids="-".join)
-def test_bound_below_one_is_usage_error(tmp_path, capsys, monkeypatch, command, bound):
+def test_bound_below_one_is_usage_error(tmp_path, capsys, no_oracle, command, bound):
     """Refused with the reduction's own message before any file is read
     or the oracle runs: the files named here do not exist."""
-    def oracle(*args):
-        raise AssertionError("the oracle ran")
-    monkeypatch.setattr(cli, "accepts_within", oracle)
     missing = str(tmp_path / "missing.tm")
     where = (["--library", str(tmp_path / "missing"), "--base", missing]
              if command[0] == "kim" else ["-m", missing])

@@ -1,5 +1,6 @@
 """Fuzzing of the three text parsers: each raises only its declared error,
-DIMACS text survives a round trip, and the two DIMACS scans agree."""
+DIMACS text survives a round trip, and the DIMACS reader agrees with a
+line-by-line reference reader."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +10,10 @@ from tmsatlab.argument import FormulaSyntaxError, parse_formula
 from tmsatlab.fixtures import FIXTURE_NAMES, fixture_text
 from tmsatlab.machine import MachineError, parse_machine
 from tmsatlab.sat import (
+    _BULK_LINES,
     CnfFormula,
     DimacsError,
-    _scan_bulk,
-    _scan_lines,
+    _header,
     from_dimacs,
     to_dimacs,
 )
@@ -71,18 +72,74 @@ def test_parser_raises_only_its_declared_error(parse, error, valid, pieces, sep)
     check()
 
 
+def read_by_line(text):
+    """The reference reader: every line in turn, tokens by `int`, then
+    the clauses cut at each 0, the header's count and the range check."""
+    header = None
+    tokens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if header is not None:
+                raise DimacsError(f"line {lineno}: duplicate header")
+            header = _header(line, lineno)
+            continue
+        if header is None:
+            raise DimacsError(f"line {lineno}: clause before header")
+        try:
+            tokens.extend(int(tok) for tok in line.split())
+        except ValueError:
+            raise DimacsError(f"line {lineno}: bad literal in {line!r}")
+    if header is None:
+        raise DimacsError("missing 'p cnf' header")
+    clauses, clause = [], []
+    for tok in tokens:
+        if tok:
+            clause.append(tok)
+        elif not clause:
+            raise DimacsError("empty clause in DIMACS input")
+        else:
+            clauses.append(clause)
+            clause = []
+    if clause:
+        raise DimacsError("missing terminating 0 on final clause")
+    if len(clauses) != header[1]:
+        raise DimacsError(f"header claims {header[1]} clauses, found {len(clauses)}")
+    try:
+        return CnfFormula(header[0], clauses)
+    except ValueError as exc:
+        raise DimacsError(str(exc))
+
+
+def formula_or_message(read, text):
+    try:
+        return read(text)
+    except DimacsError as exc:
+        return str(exc)
+
+
 @settings(max_examples=300, deadline=None)
 @given(edited(DIMACS, DIMACS_PIECES, "\n"))
 @example("p cnf 1 4\n1 0\n-1 0\n+1 01 -0\n1_0 \u0663 4 0\n")  # table misses
 @example("p cnf 2 2\n-2 -1 0\n2 1 0\n")                        # `int` only
 def test_dimacs_bulk_scan_agrees_with_line_scan(text):
-    # The bulk scan reads every text the line-by-line scan reads, the
-    # same way, and declines every text that scan refuses.
-    try:
-        by_line = _scan_lines(text)
-    except DimacsError:
-        by_line = None
-    assert _scan_bulk(text) == by_line
+    # `from_dimacs` reads every text the reference reads, to the same
+    # formula, and refuses every other text with the same message.
+    assert formula_or_message(from_dimacs, text) == formula_or_message(read_by_line, text)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("2 x 0", "bad literal in '2 x 0'"),
+    ("p cnf 2 9", "duplicate header"),
+])
+def test_fault_in_a_later_run_names_its_line(fault, message):
+    # Comment lines before the fault do not shift its line number; the
+    # body is long enough to be read through the table, in two runs.
+    text = "p cnf 2 9\n" + "c x\n1 0\n" * (_BULK_LINES + 5) + fault + "\n1 0\n"
+    assert (formula_or_message(from_dimacs, text) == formula_or_message(read_by_line, text)
+            == f"line {2 * _BULK_LINES + 12}: {message}")
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmsatlab import sat
 from tmsatlab.corpus import check_solver_agreement
 from tmsatlab.machine import accepts_within
 from tmsatlab.reduction import (
@@ -20,8 +21,6 @@ from tmsatlab.sat import (
     BruteForceGuardError,
     CnfFormula,
     DimacsError,
-    _scan_bulk,
-    _scan_lines,
     check_model,
     from_dimacs,
     solve_bruteforce,
@@ -293,10 +292,17 @@ class TestDimacs:
         text = to_dimacs(to_cnf(reduce_machine(m_accept1, "1", 2)))
         assert not any(line.startswith("c") for line in text.splitlines())
 
-    def test_labeled_text_is_read_in_bulk(self, m_accept1):
-        text = to_dimacs(reduce_machine(m_accept1, "1", 2))
-        assert _scan_bulk(text) is not None
-        assert _scan_bulk(text) == _scan_lines(text)
+    def test_labeled_text_is_read_in_bulk(self, m_accept1, m_parity, monkeypatch):
+        # Writer output never takes the line-by-line fallback: a short
+        # text read by `int` and a long one read through the table.
+        formulas = [reduce_machine(m_accept1, "1", 2), reduce_machine(m_parity, "11", 48)]
+        texts = [to_dimacs(f) for f in formulas]
+
+        def by_line(*args):
+            raise AssertionError("read line by line")
+        monkeypatch.setattr(sat, "_line_tokens", by_line)
+        for f, text in zip(formulas, texts):
+            assert from_dimacs(text) == to_cnf(f)
 
     def test_clause_count_mismatch(self):
         with pytest.raises(DimacsError):
