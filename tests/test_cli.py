@@ -228,6 +228,16 @@ def test_oracle_over_cell_limit(tmp_path, capsys, command, right_moving_text):
         assert f"at bound {bound} exceeds the limit of {REDUCTION_CLAUSE_LIMIT}\n" in err
 
 
+def _refused(m):
+    """The least bound whose reduction of m the clause guard refuses, and
+    the message that refuses it."""
+    bound = 1
+    while reduction_clause_count(m, bound) <= REDUCTION_CLAUSE_LIMIT:
+        bound += 1
+    return bound, (f"error: {reduction_clause_count(m, bound)} clauses at bound {bound} "
+                   f"exceeds the limit of {REDUCTION_CLAUSE_LIMIT}\n")
+
+
 @pytest.mark.parametrize("command", [["verify"], ["history", "encode"],
                                      ["kim", "build"], ["kim", "run"], ["kim", "metrics"]],
                          ids="-".join)
@@ -236,15 +246,10 @@ def test_clause_guard_runs_before_the_oracle(tmp_path, capsys, no_oracle, comman
     """At the least bound whose reduction the clause guard refuses, no
     command that reduces runs the oracle: for kim the library entry, and
     for run and metrics the base too, is checked as it is loaded."""
-    m = machine.parse_machine(right_moving_text)
-    bound = 1
-    while reduction_clause_count(m, bound) <= REDUCTION_CLAUSE_LIMIT:
-        bound += 1
+    bound, message = _refused(machine.parse_machine(right_moving_text))
     where = _machine_args(tmp_path, command, right_moving_text)
     assert main([*command, *where, "-i", "1", "-T", str(bound)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {reduction_clause_count(m, bound)} clauses at bound {bound} "
-        f"exceeds the limit of {REDUCTION_CLAUSE_LIMIT}\n")
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("action", ["run", "metrics"])
@@ -258,17 +263,12 @@ def test_kim_checks_the_base_before_the_oracle(tmp_path, capsys, no_oracle, acti
                     + "".join(f"rule: q0 {x} -> q0 {x} R\n" for x in symbols))
     (tmp_path / "lib").mkdir()
     (tmp_path / "lib" / "e0.tm").write_text(fixture_text("m_accept1"))
-    wide = machine.parse_machine(base.read_text())
-    bound = 1
-    while reduction_clause_count(wide, bound) <= REDUCTION_CLAUSE_LIMIT:
-        bound += 1
+    bound, message = _refused(machine.parse_machine(base.read_text()))
     assert reduction_clause_count(machine.parse_machine(fixture_text("m_accept1")),
                                   bound) <= REDUCTION_CLAUSE_LIMIT
     assert main(["kim", action, "--library", str(tmp_path / "lib"), "--base", str(base),
                  "-i", "1", "-T", str(bound)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {reduction_clause_count(wide, bound)} clauses at bound {bound} "
-        f"exceeds the limit of {REDUCTION_CLAUSE_LIMIT}\n")
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
