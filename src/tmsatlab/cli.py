@@ -167,7 +167,10 @@ def _load_library(dir_path: str, bound: int):
     histories, names = [], []
     for tm_path in sorted(directory.glob("*.tm")):
         m = _load_machine(str(tm_path))
-        check_clause_limit(m, bound)
+        try:
+            check_clause_limit(m, bound)
+        except ReductionError as exc:
+            raise ReductionError(f"{tm_path.name}: {exc}") from exc
         in_path = tm_path.with_suffix(".in")
         y = _read_text(str(in_path)).strip() if in_path.exists() else ""
         try:

@@ -141,20 +141,36 @@ def _check_input(m: Machine, input_str: str, bound: int):
             raise ReductionError(f"input symbol {ch!r} not in input alphabet")
 
 
-def reduction_clause_count(m: Machine, bound: int) -> int:
+def reduction_group_counts(m: Machine, bound: int) -> Dict[str, int]:
     """The number of clauses `reduce_machine` builds for m at `bound` on
-    any input, in closed form, group by group."""
+    any input, one closed form per group, in GROUPS order."""
     T, q, s, r = bound, len(m.states), len(m.tape_alphabet), len(m.rules())
 
     def exactly_one(k: int) -> int:
         return 1 + k * (k - 1) // 2
 
-    return ((T + 1) * exactly_one(q)                                  # G1
-            + (T + 1) * exactly_one(T + 1)                            # G2
-            + (T + 1) ** 2 * exactly_one(s)                           # G3
-            + T + 3                                                   # G4
-            + 1                                                       # G5
-            + T * (3 + r * (2 + 3 * (T + 1)) + (T + 1) * (1 + 2 * s)))  # G6
+    return dict(zip(GROUPS, (
+        (T + 1) * exactly_one(q),                                   # G1
+        (T + 1) * exactly_one(T + 1),                               # G2
+        (T + 1) ** 2 * exactly_one(s),                              # G3
+        T + 3,                                                      # G4
+        1,                                                          # G5
+        T * (3 + r * (2 + 3 * (T + 1)) + (T + 1) * (1 + 2 * s)))))  # G6
+
+
+def reduction_var_counts(m: Machine, bound: int) -> Dict[str, int]:
+    """The number of variables of each kind in the grid of `reduce_machine`
+    for m at `bound`, in id order: (T+1)·q Q, (T+1)² H, (T+1)²·s S and
+    T·(r+1) Tr, one per rule and one for padding."""
+    T = bound
+    return {"Q": (T + 1) * len(m.states), "H": (T + 1) ** 2,
+            "S": (T + 1) ** 2 * len(m.tape_alphabet), "Tr": T * (len(m.rules()) + 1)}
+
+
+def reduction_clause_count(m: Machine, bound: int) -> int:
+    """The number of clauses `reduce_machine` builds for m at `bound` on
+    any input: the sum of `reduction_group_counts`."""
+    return sum(reduction_group_counts(m, bound).values())
 
 
 def check_clause_limit(m: Machine, bound: int):

@@ -16,7 +16,11 @@ CLI's `solve` and the property suite run it.
 A clause is a tuple of int literals all the way from the reduction to
 the solver: `to_cnf` chains the reduction's own tuples group by group,
 and `from_dimacs` cuts its clauses out of one tuple of tokens. `_index`
-says how the solver stores them; `to_dimacs` and `from_dimacs` say how
+says how the solver stores them: a clause of three or more literals is
+copied into one list of ints per solve, as MiniSat's clause arena holds
+clauses (Eén and Sörensson, "An Extensible SAT-solver", SAT 2003), so a
+solve makes no list per clause for the cyclic garbage collector to
+track. `to_dimacs` and `from_dimacs` say how
 DIMACS literals are converted. The reader parses the header once and
 reads the body in bulk; only a token the bulk pass cannot convert makes
 it re-read the body line by line.
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .reduction import LabeledFormula
 
@@ -34,9 +38,10 @@ BRUTE_FORCE_VAR_LIMIT = 24
 # The solver allocates per declared variable; the benchmark's largest
 # reduction has 10,039.
 DIMACS_VAR_LIMIT = 200_000
-# Total literals of the clauses one solve may learn, about 60 MiB of
-# lists and ints at this cap; the benchmark's search cases learn a few
-# hundred.
+# Total literals of the clauses one solve may learn. A solve of a hard
+# random 3-CNF that reaches this cap (43,118 learnt clauses of 23
+# literals on average) peaks about 30 MiB above its start; the
+# benchmark's search cases learn a few hundred.
 LEARNT_LITERAL_LIMIT = 1_000_000
 # Lines that the bulk DIMACS read joins for one conversion pass: the
 # token strings of one run are held at once, not those of the whole text.
@@ -156,29 +161,33 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
     # val[lit] (True, False or None for unassigned), implied[lit] and
     # watches[lit] are indexed by the literal itself: -v wraps into the
     # upper half. implied[lit] lists the literals that binary clauses
-    # make true once lit is true; watches[lit] lists the clauses of three
-    # or more literals that watch lit. `_index` fills both, in one pass
-    # over the formula's clauses and then with each clause learnt, and
-    # makes a list only for a literal it puts something on, or that a
-    # watch can move to; the rest stay None, so a large, sparse formula
-    # allocates little.
+    # make true once lit is true. A clause of three or more literals lives
+    # in `store` as its length, then its literals, and is named by the
+    # index of its first literal; watches[lit] lists the clauses that
+    # watch lit by that index. `store` starts with n + 1 unused slots, so
+    # every clause index is above n and above every literal. `_index`
+    # fills all three, in one pass over the formula's clauses and then
+    # with each clause learnt, and makes a list only for a literal it puts
+    # something on, or that a watch can move to; the rest stay None, so a
+    # large, sparse formula allocates little.
     # level[lit] and reason[lit] describe a true literal on the trail: its
-    # decision level, and the literal that implied it through a binary
-    # clause, the longer clause that implied it, or None (a decision or a
-    # unit).
+    # decision level, and the int that implied it, either the true literal
+    # of a binary clause (at most n) or the index of a longer clause
+    # (above n), or None (a decision or a unit).
     val: List[Optional[bool]] = [None] * (2 * n + 1)
     implied: List[Optional[List[int]]] = [None] * (2 * n + 1)
-    watches: List[Optional[List[List[int]]]] = [None] * (2 * n + 1)
+    watches: List[Optional[List[int]]] = [None] * (2 * n + 1)
+    store: List[int] = [0] * (n + 1)
     level: List[int] = [0] * (2 * n + 1)
-    reason: List[Union[int, List[int], None]] = [None] * (2 * n + 1)
+    reason: List[Optional[int]] = [None] * (2 * n + 1)
     units: List[int] = []
-    _index(f.clauses, units, implied, watches)
+    _index(f.clauses, units, implied, watches, store)
     trail: List[int] = []
     # Per decision level d >= 1, at index d - 1: the trail length before
     # its decision, so trail[marks[d - 1]] is the decision literal.
     marks: List[int] = []
 
-    def propagate(pending: List[int], why: list) -> Optional[Sequence[int]]:
+    def propagate(pending: List[int], why: List[Optional[int]]) -> Optional[Sequence[int]]:
         """Make each pending literal true, implied by the reason at the
         same index of `why`, and propagate; the clause whose literals are
         all false on a conflict, else None."""
@@ -193,7 +202,7 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
                 r = why[qi]
                 if r is None:  # a unit clause
                     return (lit,)
-                return (lit, -r) if type(r) is int else r
+                return (lit, -r) if r <= n else store[r:r + store[r - 1]]
             val[lit] = True
             val[-lit] = False
             level[lit] = d
@@ -208,31 +217,37 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
             watchers = watches[neg]
             if not watchers:
                 continue
-            kept: List[List[int]] = []
-            for pos, clause in enumerate(watchers):
-                # Keep the two watched literals in the first two slots.
-                if clause[0] == neg:
-                    clause[0] = clause[1]
-                    clause[1] = neg
-                other = clause[0]
+            kept: List[int] = []
+            for pos, c in enumerate(watchers):
+                # Keep the two watched literals in the clause's first two
+                # slots.
+                other = store[c]
+                if other == neg:
+                    other = store[c] = store[c + 1]
+                    store[c + 1] = neg
                 if val[other]:
-                    kept.append(clause)
+                    kept.append(c)
                     continue
-                for k in range(2, len(clause)):
-                    lk = clause[k]
+                # A while loop, not a range: on a search-bound formula a
+                # range object per visit cost about 15% of the solve.
+                end = c + store[c - 1]
+                k = c + 2
+                while k < end:
+                    lk = store[k]
                     if val[lk] is not False:
-                        clause[1] = lk
-                        clause[k] = neg
-                        watches[lk].append(clause)
+                        store[c + 1] = lk
+                        store[k] = neg
+                        watches[lk].append(c)
                         break
+                    k += 1
                 else:
-                    kept.append(clause)
+                    kept.append(c)
                     if val[other] is False:
                         kept.extend(watchers[pos + 1:])
                         watches[neg] = kept
-                        return clause
+                        return store[c:end]
                     pending.append(other)
-                    why.append(clause)
+                    why.append(c)
             watches[neg] = kept
         return None
 
@@ -263,7 +278,7 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
             if not unresolved:
                 return [-p, *lower]
             r = reason[p]
-            lits = (-r,) if type(r) is int else [q for q in r if q != p]
+            lits = (-r,) if r <= n else [q for q in store[r:r + store[r - 1]] if q != p]
 
     learnt: List[Tuple[int, ...]] = []
     learnt_literals = decisions = conflicts = undone = max_backjump = 0
@@ -274,7 +289,7 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
                     max_backjump=max_backjump)
 
     pending: List[int] = units
-    why: list = [None] * len(units)
+    why: List[Optional[int]] = [None] * len(units)
     # Every variable below `var` is assigned: the scan for the next
     # decision resumes here. A backjump to level b keeps everything
     # assigned before the decision of level b + 1, so the scan resumes at
@@ -320,10 +335,10 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
         undone += len(trail) - mark
         del trail[mark:], marks[b:]
         # Store the clause as the formula's are, and assert its first
-        # literal. A long clause's reason is `clause`, not the copy that
-        # `_index` watches: both keep one order while that literal is true.
-        _index((clause,), [], implied, watches)
-        pending, why = [clause[0]], [None if k == 1 else -clause[1] if k == 2 else clause]
+        # literal. A long clause's reason is its own index in `store`.
+        at = len(store) + 1
+        _index((clause,), [], implied, watches, store)
+        pending, why = [clause[0]], [None if k == 1 else -clause[1] if k == 2 else at]
 
 
 def _distinct(clause: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -335,12 +350,13 @@ def _distinct(clause: Tuple[int, ...]) -> List[Tuple[int, ...]]:
 
 def _index(clauses: Iterable[Sequence[int]], units: List[int],
            implied: List[Optional[List[int]]],
-           watches: List[Optional[List[List[int]]]]):
+           watches: List[Optional[List[int]]], store: List[int]):
     """Put each clause, of the formula or learnt, where `solve_dpll` reads
     it, in one pass in clause order: a unit on `units`, a binary (a, b)
-    as b on implied[-a] and a on implied[-b], a longer clause, copied to a
-    list, on the watch lists of its first two literals. The only code
-    that makes these lists: a list is made when first used, and every
+    as b on implied[-a] and a on implied[-b], a longer clause at the end
+    of `store`, its length and then its literals, with the index of its
+    first literal on the watch lists of its first two literals. The only
+    code that makes these lists: a list is made when first used, and every
     literal of a longer clause gets a watch list, since a watch can move
     to any of them. A clause of two or three literals is tested for a
     repeated variable literal by literal, a longer one by the set of its
@@ -350,15 +366,14 @@ def _index(clauses: Iterable[Sequence[int]], units: List[int],
         if k == 3:
             a, b, c = clause
             if a == b or a == -b or a == c or a == -c or b == c or b == -c:
-                _index(_distinct(clause), units, implied, watches)
+                _index(_distinct(clause), units, implied, watches, store)
                 continue
             if watches[c] is None:
                 watches[c] = []
-            clause = [a, b, c]
         elif k == 2:
             a, b = clause
             if a == b or a == -b:
-                _index(_distinct(clause), units, implied, watches)
+                _index(_distinct(clause), units, implied, watches, store)
                 continue
             entries = implied[-a]
             if entries is None:
@@ -375,24 +390,26 @@ def _index(clauses: Iterable[Sequence[int]], units: List[int],
             units.append(clause[0])
             continue
         elif len(set(map(abs, clause))) < k:
-            _index(_distinct(clause), units, implied, watches)
+            _index(_distinct(clause), units, implied, watches, store)
             continue
         else:
             for lit in clause[2:]:
                 if watches[lit] is None:
                     watches[lit] = []
             a, b = clause[:2]
-            clause = list(clause)
+        store.append(k)
+        at = len(store)
+        store += clause
         entries = watches[a]
         if entries is None:
-            watches[a] = [clause]
+            watches[a] = [at]
         else:
-            entries.append(clause)
+            entries.append(at)
         entries = watches[b]
         if entries is None:
-            watches[b] = [clause]
+            watches[b] = [at]
         else:
-            entries.append(clause)
+            entries.append(at)
 
 
 def check_refutation(f: CnfFormula, learnt: Sequence[Sequence[int]]) -> bool:

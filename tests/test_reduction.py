@@ -3,6 +3,8 @@ from collections import Counter
 
 import pytest
 
+from tmsatlab.corpus import CORPUS_BOUND, CORPUS_INPUTS, RANDOM_MACHINE_SEED
+from tmsatlab.fixtures import fixture_machines, random_corpus
 from tmsatlab.machine import (
     ComputationHistory,
     Configuration,
@@ -26,6 +28,8 @@ from tmsatlab.reduction import (
     input_part,
     reduce_machine,
     reduction_clause_count,
+    reduction_group_counts,
+    reduction_var_counts,
     run_part,
 )
 from tmsatlab.sat import CnfFormula, check_model, solve_dpll, to_cnf
@@ -58,6 +62,22 @@ class TestReduce:
     def test_clause_count_in_closed_form(self, fixture_set, bound):
         for m in fixture_set:
             assert reduction_clause_count(m, bound) == reduce_machine(m, "", bound).clause_count
+
+    def test_sizes_in_closed_form_on_the_corpus(self):
+        # Every reduction of the acceptance corpus: the fixtures at T=6 and
+        # the seeded random machines at CORPUS_BOUND, on every input.
+        machines = [(m, 6) for m in fixture_machines()]
+        machines += [(m, CORPUS_BOUND) for m in random_corpus(RANDOM_MACHINE_SEED, 52)]
+        for m, bound in machines:
+            groups, kinds = reduction_group_counts(m, bound), reduction_var_counts(m, bound)
+            assert tuple(groups) == GROUPS
+            assert reduction_clause_count(m, bound) == sum(groups.values())
+            for y in CORPUS_INPUTS:
+                f = reduce_machine(m, y, bound)
+                assert clause_counts(f) == groups
+                assert f.var_count == sum(kinds.values())
+                assert [len(f.grid.q), len(f.grid.h), len(f.grid.s), len(f.grid.tr)] == \
+                    list(kinds.values())
 
     def test_clause_limit_refuses_before_building(self, m_parity):
         assert reduction_clause_count(m_parity, 48) == 119_893
