@@ -33,26 +33,22 @@ def random_machine(rng: random.Random, name: str) -> Machine:
     work = [f"q{i}" for i in range(n_work)]
     states = work + ["qacc"]
     symbols = ["0", "1", "_"]
-    entries = {}
+    pairs = []
     for state in work:
         for symbol in symbols:
             if rng.random() < 0.2:
                 continue  # leave this pair stuck
-            targets = []
             n_targets = 2 if rng.random() < 0.2 else 1
-            for _ in range(n_targets):
-                target = (rng.choice(states), rng.choice(symbols),
-                          rng.choice(["L", "R", "S"]))
-                if target not in targets:
-                    targets.append(target)
-            entries[(state, symbol)] = tuple(targets)
+            pairs += [((state, symbol), (rng.choice(states), rng.choice(symbols),
+                                         rng.choice(["L", "R", "S"])))
+                      for _ in range(n_targets)]
     return Machine(
         name=name,
         states=frozenset(states),
         input_alphabet=frozenset(["0", "1"]),
         tape_alphabet=frozenset(symbols),
         blank="_",
-        table=TransitionTable(entries),
+        table=TransitionTable.from_pairs(pairs),
         start="q0",
         accept="qacc",
     )

@@ -8,7 +8,7 @@ table merge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 LEFT = "L"
 RIGHT = "R"
@@ -71,6 +71,16 @@ class TransitionTable:
     entries: Dict[RuleKey, Tuple[Target, ...]] = field(default_factory=dict)
     selector: Optional[Tuple[str, str]] = None
     selector_state: Optional[str] = None
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[Tuple[RuleKey, Target]]) -> TransitionTable:
+        """The table of (key, target) pairs: each key's targets in
+        first-seen order, a repeated target kept once. This is the order
+        of `rules()`, which numbers a reduction's Tr variables."""
+        entries: Dict[RuleKey, Dict[Target, None]] = {}
+        for key, target in pairs:
+            entries.setdefault(key, {})[target] = None
+        return cls({key: tuple(targets) for key, targets in entries.items()})
 
     def rules(self) -> List[Tuple[str, str, str, str, str]]:
         """Flatten to (state, symbol, next, write, move) in declaration order."""
@@ -183,7 +193,8 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
 
     Keys: states, start, accept, [reject], blank, input_alphabet,
     tape_alphabet, rule (repeatable; repeated (state, symbol) keys
-    accumulate nondeterministic targets). '#' starts a comment.
+    accumulate nondeterministic targets, as `TransitionTable.from_pairs`
+    orders them). '#' starts a comment.
     """
     fields: Dict[str, str] = {}
     rules: List[Tuple[int, str]] = []
@@ -212,7 +223,7 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
         if key not in fields:
             raise MachineSemanticError(f"missing required key {key!r}")
 
-    entries: Dict[RuleKey, List[Target]] = {}
+    pairs: List[Tuple[RuleKey, Target]] = []
     for lineno, body in rules:
         if "->" not in body:
             raise MachineSyntaxError(lineno, f"rule missing '->': {body!r}")
@@ -226,19 +237,15 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
         nxt, write, move = rhs_parts
         if move not in MOVES:
             raise MachineSyntaxError(lineno, f"move must be one of {MOVES}, got {move!r}")
-        target = (nxt, write, move)
-        bucket = entries.setdefault((state, symbol), [])
-        if target not in bucket:
-            bucket.append(target)
+        pairs.append(((state, symbol), (nxt, write, move)))
 
-    table = TransitionTable({key: tuple(ts) for key, ts in entries.items()})
     return Machine(
         name=name,
         states=frozenset(fields["states"].split()),
         input_alphabet=frozenset(fields["input_alphabet"].split()),
         tape_alphabet=frozenset(fields["tape_alphabet"].split()),
         blank=fields["blank"],
-        table=table,
+        table=TransitionTable.from_pairs(pairs),
         start=fields["start"],
         accept=fields["accept"],
         reject=fields.get("reject"),
@@ -373,12 +380,7 @@ def extract_particular_table(h: ComputationHistory, m: Machine) -> TransitionTab
     Raises IllegalHistoryError naming the first offending step if some
     pair is not licensed by any rule of m.
     """
-    entries: Dict[RuleKey, List[Target]] = {}
-    for key, target in _licensed_steps(h, m):
-        bucket = entries.setdefault(key, [])
-        if target not in bucket:
-            bucket.append(target)
-    return TransitionTable({key: tuple(ts) for key, ts in entries.items()})
+    return TransitionTable.from_pairs(_licensed_steps(h, m))
 
 
 def used_rule_indices(h: ComputationHistory, m: Machine) -> List[int]:

@@ -17,6 +17,7 @@ from .machine import (
     ComputationHistory,
     Configuration,
     Machine,
+    MachineSemanticError,
     initial_configuration,
     moved_head,
     used_rule_indices,
@@ -59,8 +60,7 @@ class _Grid:
         self.machine = m
         self.bound = bound
         self.signature = machine_grid_signature(m, bound)
-        self.states = sorted(m.states)
-        self.symbols = sorted(m.tape_alphabet)
+        _, self.states, self.symbols = self.signature
         self.rules = m.rules()
         self.tr_keys = list(range(len(self.rules))) + [PAD]  # one step's Tr keys
         # Ids count up from 1 in the order the keys are generated.
@@ -131,14 +131,18 @@ def _check_bound(bound: int):
         raise ValueError("bound must be at least 1")
 
 
-def _check_input(m: Machine, input_str: str, bound: int):
+def _checked_start(m: Machine, input_str: str, bound: int) -> Configuration:
+    """m's initial configuration on input_str, once the bound is at least
+    1 and the input fits cells 0..bound; an input symbol outside m's input
+    alphabet raises ReductionError, with `initial_configuration`'s text."""
     _check_bound(bound)
     if len(input_str) > bound + 1:
         raise ReductionError(
             f"input of {len(input_str)} symbols does not fit cells 0..{bound}")
-    for ch in input_str:
-        if ch not in m.input_alphabet:
-            raise ReductionError(f"input symbol {ch!r} not in input alphabet")
+    try:
+        return initial_configuration(m, input_str)
+    except MachineSemanticError as exc:
+        raise ReductionError(str(exc)) from None
 
 
 def reduction_group_counts(m: Machine, bound: int) -> Dict[str, int]:
@@ -186,7 +190,7 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
     """The reduction: satisfiable iff m accepts input_str within `bound`
     transitions. Refuses, before building anything, a reduction of more
     than REDUCTION_CLAUSE_LIMIT clauses."""
-    _check_input(m, input_str, bound)
+    c = _checked_start(m, input_str, bound)
     check_clause_limit(m, bound)
     g = _Grid(m, bound)
     T = bound
@@ -203,7 +207,6 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
             g3.extend(_exactly_one([g.s[(i, j, l)] for l in g.symbols]))
 
     # G4: the initial configuration, as unit clauses.
-    c = initial_configuration(m, input_str)
     g4.append((g.q[(0, c.state)],))
     g4.append((g.h[(0, c.head)],))
     g4.extend((g.s[(0, j, _config_symbol(c, j, m.blank))],) for j in range(T + 1))
@@ -288,39 +291,31 @@ def induced_assignment(h: ComputationHistory, g: _Grid,
     short histories by repeating the final accepting configuration.
     `rule_ids` are the history's rule indices, as `check_history` returns
     them."""
-    T = g.bound
-    k = h.transitions
-    assignment: Dict[int, bool] = {}
-    for i in range(T + 1):
-        c = h.configs[min(i, k)]
-        for state in g.states:
-            assignment[g.q[(i, state)]] = state == c.state
-        for j in range(T + 1):
-            assignment[g.h[(i, j)]] = j == c.head
-            sym = _config_symbol(c, j, g.machine.blank)
-            for l in g.symbols:
-                assignment[g.s[(i, j, l)]] = l == sym
-    for i in range(T):
-        chosen = rule_ids[i] if i < k else PAD
-        for r in g.tr_keys:
-            assignment[g.tr[(i, r)]] = r == chosen
+    padding = g.bound - h.transitions
+    configs = h.configs + h.configs[-1:] * padding  # the configuration at each time
+    chosen = list(rule_ids) + [PAD] * padding  # the Tr key at each step
+    blank = g.machine.blank
+    assignment = {vid: configs[i].state == k for (i, k), vid in g.q.items()}
+    assignment.update({vid: configs[i].head == j for (i, j), vid in g.h.items()})
+    assignment.update({vid: _config_symbol(configs[i], j, blank) == l
+                       for (i, j, l), vid in g.s.items()})
+    assignment.update({vid: chosen[i] == r for (i, r), vid in g.tr.items()})
     return assignment
 
 
 def check_history(m: Machine, h: ComputationHistory, bound: int) -> List[int]:
     """Every check `encode_history` makes before encoding: h has at most
-    `bound` transitions, ends in the accept state, starts from m's initial
-    configuration on h.input, its input fits cells 0..bound, and every
-    step is licensed by a rule of m. Returns the index into m.rules() of
-    the rule used at each step."""
+    `bound` transitions, ends in the accept state, its input fits cells
+    0..bound and is over m's input alphabet, it starts from m's initial
+    configuration on that input, and every step is licensed by a rule of
+    m. Returns the index into m.rules() of the rule used at each step."""
     if h.transitions > bound:
         raise ReductionError(
             f"history of {h.transitions} transitions exceeds bound {bound}")
     if h.configs[-1].state != m.accept:
         raise ReductionError("history does not end in the accept state")
-    if h.configs[0] != initial_configuration(m, h.input):
+    if h.configs[0] != _checked_start(m, h.input, bound):
         raise ReductionError("history does not start from the initial configuration")
-    _check_input(m, h.input, bound)
     return used_rule_indices(h, m)
 
 

@@ -199,10 +199,12 @@ def solve_dpll(f: CnfFormula) -> SolveResult:
                 if val[lit]:
                     qi += 1
                     continue
+                # Only a unit or binary reason implies a literal false by now:
+                # a long clause's stays watched in slot 0, so the watch loop
+                # reports its conflict first, and a learnt clause's asserted
+                # literal is unassigned after the backjump.
                 r = why[qi]
-                if r is None:  # a unit clause
-                    return (lit,)
-                return (lit, -r) if r <= n else store[r:r + store[r - 1]]
+                return (lit,) if r is None else (lit, -r)
             val[lit] = True
             val[-lit] = False
             level[lit] = d

@@ -193,7 +193,8 @@ def _machine_args(tmp_path, command, text):
 
 @pytest.fixture()
 def no_oracle(monkeypatch):
-    """Any call of the oracle from the CLI fails the command (exit 70)."""
+    """Any call of the oracle from the CLI raises out of `main` and fails
+    the test with its own traceback."""
     def oracle(*args):
         raise AssertionError("the oracle ran")
     monkeypatch.setattr(cli, "accepts_within", oracle)

@@ -15,6 +15,7 @@ from tmsatlab.machine import (
     OracleLimitError,
     TransitionTable,
     accepts_within,
+    apply_target,
     extract_particular_table,
     initial_configuration,
     is_deterministic,
@@ -120,6 +121,10 @@ class TestParse:
 
     def test_repeated_keys_accumulate_targets(self, m_nd):
         assert len(m_nd.table.entries[("q0", "1")]) == 2
+
+    def test_repeated_rule_kept_once_in_first_position(self, m_nd):
+        again = parse_machine(fixture_text("m_nd") + "rule: q0 1 -> qacc 1 R\n")
+        assert again.rules() == m_nd.rules()
 
 
 class TestStep:
@@ -242,6 +247,21 @@ class TestParticularTables:
             used.add((c.state, c.tape[c.head]))
         t = extract_particular_table(witness, m_parity)
         assert set(t.entries) == used and len(t.entries) == 3
+
+    def test_targets_in_first_use_order(self):
+        # The history uses rule b, then a, then b again, though a is
+        # declared first: the table lists each once, in first-use order.
+        m = parse_machine("states: q0 qacc\nstart: q0\naccept: qacc\nblank: _\n"
+                          "input_alphabet: 1\ntape_alphabet: 0 1 _\n"
+                          "rule: q0 1 -> q0 1 R\nrule: q0 1 -> q0 0 R\n"
+                          "rule: q0 _ -> qacc _ S\n")
+        a, b = m.table.entries[("q0", "1")]
+        accept = ("qacc", "_", "S")
+        configs = [initial_configuration(m, "111")]
+        for target in (b, a, b, accept):
+            configs.append(apply_target(configs[-1], target, m.blank))
+        t = extract_particular_table(ComputationHistory(tuple(configs), "111"), m)
+        assert t.entries == {("q0", "1"): (b, a), ("q0", "_"): (accept,)}
 
     def test_illegal_history_names_offending_index(self, m_accept1):
         bad = ComputationHistory(

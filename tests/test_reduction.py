@@ -35,6 +35,14 @@ from tmsatlab.reduction import (
 from tmsatlab.sat import CnfFormula, check_model, solve_dpll, to_cnf
 
 
+def corpus_machines():
+    """(machine, bound) of the acceptance corpus: the fixtures at T=6 and
+    the seeded random machines at CORPUS_BOUND, each run on every input
+    of CORPUS_INPUTS."""
+    machines = [(m, 6) for m in fixture_machines()]
+    return machines + [(m, CORPUS_BOUND) for m in random_corpus(RANDOM_MACHINE_SEED, 52)]
+
+
 class TestReduce:
     def test_variable_grid_sizes(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 1)
@@ -47,7 +55,7 @@ class TestReduce:
         assert not solve_dpll(to_cnf(reduce_machine(m_accept1, "0", 2))).satisfiable
 
     def test_input_symbol_outside_alphabet(self, m_accept1):
-        with pytest.raises(ReductionError):
+        with pytest.raises(ReductionError, match="^input symbol 'x' not in input alphabet$"):
             reduce_machine(m_accept1, "x", 2)
 
     def test_input_longer_than_grid(self, m_accept1):
@@ -64,11 +72,7 @@ class TestReduce:
             assert reduction_clause_count(m, bound) == reduce_machine(m, "", bound).clause_count
 
     def test_sizes_in_closed_form_on_the_corpus(self):
-        # Every reduction of the acceptance corpus: the fixtures at T=6 and
-        # the seeded random machines at CORPUS_BOUND, on every input.
-        machines = [(m, 6) for m in fixture_machines()]
-        machines += [(m, CORPUS_BOUND) for m in random_corpus(RANDOM_MACHINE_SEED, 52)]
-        for m, bound in machines:
+        for m, bound in corpus_machines():
             groups, kinds = reduction_group_counts(m, bound), reduction_var_counts(m, bound)
             assert tuple(groups) == GROUPS
             assert reduction_clause_count(m, bound) == sum(groups.values())
@@ -281,6 +285,21 @@ class TestEncodeHistory:
         h = ComputationHistory((initial_configuration(m_accept1, "1"),), "1")
         with pytest.raises(ReductionError):
             encode_history(m_accept1, h, 1)
+
+    def test_input_symbol_outside_alphabet_rejected(self):
+        # A hand-built history: the oracle never starts on such an input.
+        m = accept_at_start_machine()
+        h = ComputationHistory((Configuration("qa", 0, ("x",)),), "x")
+        with pytest.raises(ReductionError, match="^input symbol 'x' not in input alphabet$"):
+            encode_history(m, h, 1)
+
+    def test_induced_assignment_covers_the_grid_on_the_corpus(self):
+        for m, bound in corpus_machines():
+            for y in CORPUS_INPUTS:
+                accepted, witness = accepts_within(m, y, bound)
+                if accepted:
+                    f, assignment = encode_history(m, witness, bound)
+                    assert sorted(assignment) == list(range(1, f.var_count + 1))
 
 
 class TestDecode:
