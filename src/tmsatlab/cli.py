@@ -74,7 +74,7 @@ def _load_machine(path: str):
 def _emit(text: str, out_path):
     if out_path:
         try:
-            Path(out_path).write_text(text)
+            Path(out_path).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise _FileError(f"cannot write {out_path}: {exc}") from exc
     else:

@@ -10,7 +10,7 @@ transition semantics via explicit selector variables plus frame clauses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import accumulate, chain, combinations, product, repeat
 from typing import Dict, Iterator, List, NamedTuple, Tuple, Union
 
 from .machine import (
@@ -53,8 +53,12 @@ class Clause(NamedTuple):
 
 class _Grid:
     """Deterministic variable numbering: Q, then H, then S, then Tr,
-    each block in lexicographic grid order. Built once per reduction and
-    shared by every formula made from it."""
+    each block one range of consecutive ids in lexicographic grid order.
+    Built once per reduction and shared by every formula made from it.
+
+    The dicts map a key, such as (i, j, sym) for S, to its id; the row
+    methods hand out slices of a block as ranges, so a clause group can
+    be built from whole rows instead of one key at a time."""
 
     def __init__(self, m: Machine, bound: int):
         self.machine = m
@@ -63,18 +67,35 @@ class _Grid:
         _, self.states, self.symbols = self.signature
         self.rules = m.rules()
         self.tr_keys = list(range(len(self.rules))) + [PAD]  # one step's Tr keys
-        # Ids count up from 1 in the order the keys are generated.
-        ids = count(1)
         times = cells = range(bound + 1)
-        self.q: Dict[Tuple[int, str], int] = {
-            (i, k): next(ids) for i in times for k in self.states}
-        self.h: Dict[Tuple[int, int], int] = {
-            (i, j): next(ids) for i in times for j in cells}
-        self.s: Dict[Tuple[int, int, str], int] = {
-            (i, j, sym): next(ids) for i in times for j in cells for sym in self.symbols}
-        self.tr: Dict[Tuple[int, Union[int, str]], int] = {
-            (i, r): next(ids) for i in range(bound) for r in self.tr_keys}
-        self.var_count = next(ids) - 1
+        self.width = bound + 1  # cells per time
+        starts = list(accumulate(reduction_var_counts(m, bound).values(), initial=1))
+        self.Q, self.H, self.S, self.TR = map(range, starts, starts[1:])
+        self.q: Dict[Tuple[int, str], int] = dict(zip(product(times, self.states), self.Q))
+        self.h: Dict[Tuple[int, int], int] = dict(zip(product(times, cells), self.H))
+        self.s: Dict[Tuple[int, int, str], int] = dict(
+            zip(product(times, cells, self.symbols), self.S))
+        self.tr: Dict[Tuple[int, Union[int, str]], int] = dict(
+            zip(product(range(bound), self.tr_keys), self.TR))
+        self.var_count = starts[-1] - 1
+
+    def h_row(self, i: int) -> range:
+        """The H ids of time i, by cell."""
+        return self.H[i * self.width:(i + 1) * self.width]
+
+    def s_block(self, i: int) -> range:
+        """The S ids of time i, by cell and then symbol."""
+        size = self.width * len(self.symbols)
+        return self.S[i * size:(i + 1) * size]
+
+    def s_row(self, i: int, sym: str) -> range:
+        """The S ids of symbol `sym` at time i, by cell."""
+        return self.s_block(i)[self.symbols.index(sym)::len(self.symbols)]
+
+    def tr_row(self, i: int) -> range:
+        """The Tr ids of step i, in `tr_keys` order."""
+        size = len(self.tr_keys)
+        return self.TR[i * size:(i + 1) * size]
 
     def labels(self) -> Iterator[Tuple[int, str]]:
         """(id, label) of every variable in id order, such as
@@ -122,8 +143,19 @@ class LabeledFormula:
         return self.grid.var_count
 
 
-def _exactly_one(ids: List[int]) -> List[Tuple[int, ...]]:
-    return [tuple(ids)] + [(-a, -b) for a, b in combinations(ids, 2)]
+def _neg(ids: range) -> range:
+    """The negated literals of a range of ids, in its order."""
+    return range(-ids.start, -ids.stop, -ids.step)
+
+
+def _exactly_one(block: range, width: int) -> Iterator[Tuple[int, ...]]:
+    """For each row of `width` consecutive ids of `block`, in order: the
+    row as one clause, then (-a, -b) for each pair of the row in
+    `combinations` order. Built from the block's columns, one stream per
+    pair of columns, so the clauses come from C-level iterators."""
+    cols = [block[k::width] for k in range(width)]
+    pairs = (zip(_neg(a), _neg(b)) for a, b in combinations(cols, 2))
+    return chain.from_iterable(zip(zip(*cols), *pairs))
 
 
 def _check_bound(bound: int):
@@ -165,7 +197,8 @@ def reduction_group_counts(m: Machine, bound: int) -> Dict[str, int]:
 def reduction_var_counts(m: Machine, bound: int) -> Dict[str, int]:
     """The number of variables of each kind in the grid of `reduce_machine`
     for m at `bound`, in id order: (T+1)·q Q, (T+1)² H, (T+1)²·s S and
-    T·(r+1) Tr, one per rule and one for padding."""
+    T·(r+1) Tr, one per rule and one for padding. `_Grid` lays out its
+    blocks from these counts."""
     T = bound
     return {"Q": (T + 1) * len(m.states), "H": (T + 1) ** 2,
             "S": (T + 1) ** 2 * len(m.tape_alphabet), "Tr": T * (len(m.rules()) + 1)}
@@ -198,13 +231,11 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
     g1, g2, g3, g4, g5, g6 = groups
 
     # G1/G2/G3: exactly one state, head cell, and symbol per cell, per time.
+    g1 += _exactly_one(g.Q, len(g.states))
     for i in range(T + 1):
-        g1.extend(_exactly_one([g.q[(i, k)] for k in g.states]))
-    for i in range(T + 1):
-        g2.extend(_exactly_one([g.h[(i, j)] for j in range(T + 1)]))
-    for i in range(T + 1):
-        for j in range(T + 1):
-            g3.extend(_exactly_one([g.s[(i, j, l)] for l in g.symbols]))
+        g2.append(tuple(g.h_row(i)))
+        g2 += combinations(_neg(g.h_row(i)), 2)
+    g3 += _exactly_one(g.S, len(g.symbols))
 
     # G4: the initial configuration, as unit clauses.
     g4.append((g.q[(0, c.state)],))
@@ -215,32 +246,34 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
     g5.append((g.q[(T, m.accept)],))
 
     # G6: transition semantics via selector variables, plus frame clauses.
+    # Each run of clauses over the cells of one step is a zip of rows.
     # moved[r][j]: the cell rule r moves the head to from cell j, clamped
     # at T.
     moved = [[min(T, moved_head(j, move)) for j in range(T + 1)] for *_, move in g.rules]
     for i in range(T):
-        g6.append(tuple(g.tr[(i, r)] for r in g.tr_keys))
-        for r, (state, symbol, nxt, write, _) in enumerate(g.rules):
-            tr = g.tr[(i, r)]
+        heads, next_heads = g.h_row(i), g.h_row(i + 1)
+        not_heads = _neg(heads)
+        tr_ids = g.tr_row(i)
+        g6.append(tuple(tr_ids))
+        for tr, (state, symbol, nxt, write, _), to in zip(tr_ids, g.rules, moved):
             g6.append((-tr, g.q[(i, state)]))
             g6.append((-tr, g.q[(i + 1, nxt)]))
-            to = moved[r]
-            for j in range(T + 1):
-                hij = g.h[(i, j)]
-                g6.append((-tr, -hij, g.s[(i, j, symbol)]))
-                g6.append((-tr, -hij, g.s[(i + 1, j, write)]))
-                g6.append((-tr, -hij, g.h[(i + 1, to[j])]))
-        pad = g.tr[(i, PAD)]
+            # With the head on cell j: read `symbol`, write `write`, move
+            # to cell to[j].
+            g6 += chain.from_iterable(zip(
+                zip(repeat(-tr), not_heads, g.s_row(i, symbol)),
+                zip(repeat(-tr), not_heads, g.s_row(i + 1, write)),
+                zip(repeat(-tr), not_heads, map(next_heads.__getitem__, to))))
+        pad = tr_ids[-1]  # PAD is the last Tr key
         g6.append((-pad, g.q[(i, m.accept)]))
         g6.append((-pad, g.q[(i + 1, m.accept)]))
-        for j in range(T + 1):
-            g6.append((-pad, -g.h[(i, j)], g.h[(i + 1, j)]))
-            for l in g.symbols:
-                g6.append((-pad, -g.s[(i, j, l)], g.s[(i + 1, j, l)]))
+        # Padding keeps the head and, for each cell, every symbol.
+        g6 += chain.from_iterable(zip(
+            zip(repeat(-pad), not_heads, next_heads),
+            *(zip(repeat(-pad), _neg(g.s_row(i, l)), g.s_row(i + 1, l)) for l in g.symbols)))
         # Frame: cells away from the head keep their symbol.
-        for j in range(T + 1):
-            for l in g.symbols:
-                g6.append((-g.s[(i, j, l)], g.h[(i, j)], g.s[(i + 1, j, l)]))
+        each_head = chain.from_iterable(zip(*repeat(heads, len(g.symbols))))
+        g6 += zip(_neg(g.s_block(i)), each_head, g.s_block(i + 1))
 
     return LabeledFormula(g, dict(zip(GROUPS, groups)), input_str)
 

@@ -20,16 +20,23 @@ says how the solver stores them: a clause of three or more literals is
 copied into one list of ints per solve, as MiniSat's clause arena holds
 clauses (Eén and Sörensson, "An Extensible SAT-solver", SAT 2003), so a
 solve makes no list per clause for the cyclic garbage collector to
-track. `to_dimacs` and `from_dimacs` say how
-DIMACS literals are converted. The reader parses the header once and
-reads the body in bulk; only a token the bulk pass cannot convert makes
-it re-read the body line by line.
+track.
+
+DIMACS text is written and read in bulk, with no interpreter step per
+clause. `to_dimacs` writes each clause group as one stream of tokens,
+the group's literals with an end marker after each clause, joined
+through a table of literal strings in one call and cut into lines after
+each " 0". `from_dimacs` parses the header once and converts the body
+in bulk, through a table of the strings of -n..n when the body is long
+enough to pay for one; a formula read through the table is in range by
+construction and is not checked a second time. Only a token the bulk
+pass cannot convert makes the reader re-read the body line by line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .reduction import LabeledFormula
@@ -46,6 +53,9 @@ LEARNT_LITERAL_LIMIT = 1_000_000
 # Lines that the bulk DIMACS read joins for one conversion pass: the
 # token strings of one run are held at once, not those of the whole text.
 _BULK_LINES = 4096
+# The key `to_dimacs` writes as the 0 that ends a clause: no literal
+# equals it.
+_END = object()
 
 
 class SatError(Exception):
@@ -518,15 +528,26 @@ def to_dimacs(f) -> str:
     n = f.var_count
     # Literals are written from a table of their strings. It holds only
     # the literals of n variables, so a bad literal is a missing key, never
-    # another literal's string.
+    # another literal's string; its one other key, _END, ends a clause.
     lits = [*range(-n, 0), *range(1, n + 1)]
-    name = dict(zip(lits, map(str, lits))).__getitem__
+    table = dict(zip(lits, map(str, lits)))
+    table[_END] = "0"
+    name = table.__getitem__
     if isinstance(f, LabeledFormula):
         lines = [f"c var {vid} = {label}" for vid, label in f.grid.labels()]
         runs = f.groups.items()
     else:
         lines, runs = [], [(None, f.clauses)]
     lines.append(f"p cnf {n} {sum(len(clauses) for _, clauses in runs)}")
+
+    def name_fault():
+        # The clause-by-clause check names the first fault.
+        _check_clauses([clause for _, clauses in runs for clause in clauses], n)
+
+    # A labeled formula is not checked when it is built: an empty clause
+    # is refused here, before it could be written as a bare "0".
+    if not all(all(clauses) for _, clauses in runs):
+        name_fault()
     first = 1
     try:
         for group, clauses in runs:
@@ -534,12 +555,15 @@ def to_dimacs(f) -> str:
                 span = f"{first}-{first + len(clauses) - 1}" if clauses else "none"
                 lines.append(f"c group {group} clauses {span}")
                 first += len(clauses)
-            # A labeled formula is not checked when it is built: an empty
-            # clause is looked up as the literal 0, which the table lacks.
-            lines.extend(" ".join(map(name, clause or (0,))) + " 0" for clause in clauses)
+            if clauses:
+                # The group is one stream of tokens, each clause followed
+                # by _END, joined into one line and then cut after each
+                # " 0": no literal is written "0", so every " 0 " ends a
+                # clause.
+                tokens = chain.from_iterable(chain.from_iterable(zip(clauses, repeat((_END,)))))
+                lines.append(" ".join(map(name, tokens)).replace(" 0 ", " 0\n"))
     except KeyError:
-        # The clause-by-clause check names the first fault.
-        _check_clauses([clause for _, clauses in runs for clause in clauses], n)
+        name_fault()
         raise
     return "\n".join(lines) + "\n"
 
@@ -554,7 +578,10 @@ def from_dimacs(text: str) -> CnfFormula:
     token that this refuses, a second header's "p" among them, sends the
     lines after the header through `_line_tokens`, which names the first
     faulty line, or reads by `int` the tokens the table only lacked ("+1",
-    "01", a literal above n).
+    "01", a literal above n). A formula read through the table has only
+    literals of -n..n, a 0 only where a clause ends and no empty clause,
+    so it is built by `_well_formed`, without `_check_clauses`; one read
+    by `int` is checked.
     """
     lines = text.splitlines()
     for at, line in enumerate(lines):
@@ -568,14 +595,18 @@ def from_dimacs(text: str) -> CnfFormula:
     n, clause_count = _header(line, at + 1)
     body = [raw for raw in lines[at + 1:] if not raw.lstrip().startswith("c")]
     del lines
+    # `by_table`: every token came through the table, so every literal
+    # lies in -n..n.
+    by_table = len(body) > 2 * n + 1
     convert = int
-    if len(body) > 2 * n + 1:
+    if by_table:
         convert = dict(zip(map(str, range(-n, n + 1)), range(-n, n + 1))).__getitem__
     tokens: List[int] = []
     try:
         for i in range(0, len(body), _BULK_LINES):
             tokens += map(convert, " ".join(body[i:i + _BULK_LINES]).split())
     except (KeyError, ValueError):
+        by_table = False
         tokens = _line_tokens(text.splitlines(), at + 1)
     del body
     # Each clause is a slice of one tuple of every token, up to its 0.
@@ -595,10 +626,20 @@ def from_dimacs(text: str) -> CnfFormula:
     if len(clauses) != clause_count:
         raise DimacsError(
             f"header claims {clause_count} clauses, found {len(clauses)}")
+    if by_table:
+        return _well_formed(n, clauses)
     try:
         return CnfFormula(n, clauses)
     except ValueError as exc:  # a literal out of range
         raise DimacsError(str(exc)) from exc
+
+
+def _well_formed(n: int, clauses: List[Tuple[int, ...]]) -> CnfFormula:
+    """The CnfFormula of clauses known to be non-empty tuples of literals
+    in -n..-1, 1..n, built without `_check_clauses`."""
+    f = object.__new__(CnfFormula)
+    f.var_count, f.clauses = n, clauses
+    return f
 
 
 def _header(line: str, lineno: int) -> Tuple[int, int]:

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -471,6 +474,29 @@ class TestFileErrors:
         bad.write_bytes(b"premise: p\nconclusion: \xff\n")
         assert main(["argue", "--schema", str(bad)]) == 3
         assert "bad.arg" in capsys.readouterr().err
+
+
+class TestOutputEncoding:
+    """Output files are written as UTF-8, the encoding machines are read
+    in, whatever the locale's encoding."""
+
+    ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+    @pytest.mark.parametrize("command", [["reduce"], ["history", "encode"]],
+                             ids=["reduce", "history-encode"])
+    def test_output_file_is_utf8_under_an_ascii_locale(self, tmp_path, command):
+        machine_path, out = tmp_path / "u.tm", tmp_path / "u.cnf"
+        machine_path.write_text(fixture_text("m_accept1").replace("qacc", "q\u00e9"),
+                                encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "tmsatlab.cli", *command, "-m", str(machine_path),
+             "-i", "1", "-T", "1", "-o", str(out)],
+            env={**os.environ, **self.ASCII_LOCALE, "PYTHONPATH": path},
+            capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert "= Q(0,q\u00e9)\n" in out.read_bytes().decode("utf-8")
 
 
 class TestArgue:

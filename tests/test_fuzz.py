@@ -1,18 +1,21 @@
 """Fuzzing of the three text parsers: each raises only its declared error,
-DIMACS text survives a round trip, and the DIMACS reader agrees with a
-line-by-line reference reader."""
+DIMACS text survives a round trip, the DIMACS reader agrees with a
+line-by-line reference reader, and the DIMACS writer with a
+clause-by-clause reference writer."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmsatlab.argument import FormulaSyntaxError, parse_formula
-from tmsatlab.fixtures import FIXTURE_NAMES, fixture_text
+from tmsatlab.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from tmsatlab.machine import MachineError, parse_machine
+from tmsatlab.reduction import GROUPS, LabeledFormula, reduce_machine
 from tmsatlab.sat import (
     _BULK_LINES,
     CnfFormula,
     DimacsError,
+    _check_clauses,
     _header,
     from_dimacs,
     to_dimacs,
@@ -154,3 +157,85 @@ def cnf_formulas(draw):
 @given(cnf_formulas())
 def test_dimacs_round_trip(f):
     assert from_dimacs(to_dimacs(f)) == f
+
+
+def write_by_clause(f):
+    """The reference writer: the header lines, then each clause on its
+    own line, literal by literal through a table of the literals of n
+    variables; a fault, the first in clause order, is named by
+    `_check_clauses`."""
+    n = f.var_count
+    lits = [*range(-n, 0), *range(1, n + 1)]
+    name = dict(zip(lits, map(str, lits))).__getitem__
+    if isinstance(f, LabeledFormula):
+        lines = [f"c var {vid} = {label}" for vid, label in f.grid.labels()]
+        runs = f.groups.items()
+    else:
+        lines, runs = [], [(None, f.clauses)]
+    lines.append(f"p cnf {n} {sum(len(clauses) for _, clauses in runs)}")
+    first = 1
+    try:
+        for group, clauses in runs:
+            if group:
+                span = f"{first}-{first + len(clauses) - 1}" if clauses else "none"
+                lines.append(f"c group {group} clauses {span}")
+                first += len(clauses)
+            for clause in clauses:
+                lines.append(" ".join(map(name, clause or (0,))) + " 0")
+    except KeyError:
+        _check_clauses([clause for _, clauses in runs for clause in clauses], n)
+        raise
+    return "\n".join(lines) + "\n"
+
+
+# Each fault the writer must refuse, or write as the reference does: an
+# empty clause, the literal 0, ±(n+1), and True, which equals 1.
+FAULTS = ("empty", "zero", "above", "below", "true")
+LABELED_GRID = reduce_machine(load_fixture("m_accept1"), "1", 2).grid
+
+
+@st.composite
+def clause_lists(draw, n):
+    """Clauses over n variables, with at most one fault put in."""
+    literal = st.integers(-n, n).filter(bool)
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=6).map(tuple),
+                            max_size=12))
+    fault = draw(st.sampled_from((None,) + FAULTS))
+    if fault == "empty":
+        clauses.insert(draw(st.integers(0, len(clauses))), ())
+    elif fault and clauses:
+        at = draw(st.integers(0, len(clauses) - 1))
+        bad = {"zero": 0, "above": n + 1, "below": -n - 1, "true": True}[fault]
+        clause = list(clauses[at])
+        clause.insert(draw(st.integers(0, len(clause))), bad)
+        clauses[at] = tuple(clause)
+    return clauses
+
+
+@st.composite
+def writable_formulas(draw):
+    """A CnfFormula, its clauses set after it is built so that a fault
+    gets past its check, or a LabeledFormula over a reduction's grid."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 12))
+        f = CnfFormula(n, [])
+        f.clauses = draw(clause_lists(n))
+        return f
+    n = LABELED_GRID.var_count
+    groups = {group: draw(clause_lists(n)) for group in
+              draw(st.lists(st.sampled_from(GROUPS), unique=True))}
+    return LabeledFormula(LABELED_GRID, groups, "1")
+
+
+def text_or_message(write, f):
+    try:
+        return write(f)
+    except (ValueError, KeyError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(writable_formulas())
+def test_dimacs_writer_agrees_with_clause_by_clause_writer(f):
+    # The same text for every formula, and the same error for every fault.
+    assert text_or_message(to_dimacs, f) == text_or_message(write_by_clause, f)

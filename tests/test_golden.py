@@ -13,6 +13,12 @@ the 13 `history encode` cases with no witness kept theirs. They pin
 DIMACS, JSON and error output byte for byte; the work directory's path
 reads `{dir}` in the output. A digest changes only with an intended,
 documented change of output.
+
+`DIMACS_GOLDEN` pins, byte for byte, the labeled DIMACS text of one
+reduction of each of the benchmark's nine tableau-deep (fixture, T)
+classes, up to m_parity at T=48, well past the CLI grid's T=4; it was
+recorded before the reduction and the writer were rebuilt from rows and
+token streams.
 """
 
 import contextlib
@@ -22,7 +28,9 @@ import io
 import pytest
 
 from tmsatlab.cli import main
-from tmsatlab.fixtures import FIXTURE_NAMES, fixture_text
+from tmsatlab.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
+from tmsatlab.reduction import reduce_machine
+from tmsatlab.sat import to_dimacs
 
 INPUTS = ("", "1", "11")
 BOUNDS = (2, 4)
@@ -483,6 +491,29 @@ GOLDEN = {
         "3c99b7a7cfbb972279c8cd600083162406ab5f88e78915be65cfc635dbdcb326",
 }
 
+# sha256 of to_dimacs(reduce_machine(fixture, input, T)), with the text's
+# length in bytes.
+DIMACS_GOLDEN = {
+    ("m_parity", "000", 4):  # 11440 B
+        "ff29c127003f1253e23cf52a280a83c4b750c8391fce023824f577c7b9d93e36",
+    ("m_parity", "000", 8):  # 40804 B
+        "56dc0e9f8e802ae34ae1e33334973ae0e3f0d5fb8b42e571e4708165351204fa",
+    ("m_parity", "000", 16):  # 175003 B
+        "938103605aa56ee4f3817a0f333209f650ccb592f3f8c5fe0e5f7d95369baf29",
+    ("m_parity", "000", 32):  # 811986 B
+        "6ceaa80586d7322e547f19119b1b149005e490138dfd91c4c3211571739816f1",
+    ("m_parity", "000", 48):  # 2121263 B
+        "6628b66adc01541eaecb4e3c2771c73f66c79d60b1a8873604888fe6dae83f89",
+    ("m_loop", "000", 16):  # 144337 B
+        "c60c270bc1d7a514645498fbdf566ebae90e11e36b28ce662b2920239f1a0967",
+    ("m_loop", "000", 32):  # 690978 B
+        "e3d1e91b93ebc1e98ffe8490697cdf13f7bb60f627bc8c11a5928a8793d84b6b",
+    ("m_accept1", "100", 32):  # 695695 B
+        "930ab3f3610ae18e2a7dc88811c3257eec7ebac54217ebc101d0f70650105919",
+    ("m_nd", "100", 32):  # 753874 B
+        "0a4fede56309bebc1f87fa576f2a629cf40d05ec859dccaa9e96638672f6741e",
+}
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -521,3 +552,9 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case, workdir):
     assert run_digest(CASES[case], workdir) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("fixture, y, bound", sorted(DIMACS_GOLDEN))
+def test_dimacs_golden_at_benchmark_size(fixture, y, bound):
+    text = to_dimacs(reduce_machine(load_fixture(fixture), y, bound))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIMACS_GOLDEN[(fixture, y, bound)]

@@ -25,7 +25,7 @@ def unused_imports(source: str):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_src_imports_only_what_it_uses(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_an_unused_import_is_found():

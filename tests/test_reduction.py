@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from itertools import combinations, count
 
 import pytest
 
@@ -13,9 +14,11 @@ from tmsatlab.machine import (
     accepts_within,
     apply_target,
     initial_configuration,
+    moved_head,
 )
 from tmsatlab.reduction import (
     GROUPS,
+    PAD,
     REDUCTION_CLAUSE_LIMIT,
     GridIncompatibleError,
     LabeledFormula,
@@ -34,6 +37,10 @@ from tmsatlab.reduction import (
 )
 from tmsatlab.sat import CnfFormula, check_model, solve_dpll, to_cnf
 
+# Fixture bounds of the reference check: small, odd, and up to the
+# benchmark's largest tableau.
+REFERENCE_BOUNDS = (1, 2, 7, 16, 32, 48)
+
 
 def corpus_machines():
     """(machine, bound) of the acceptance corpus: the fixtures at T=6 and
@@ -41,6 +48,75 @@ def corpus_machines():
     of CORPUS_INPUTS."""
     machines = [(m, 6) for m in fixture_machines()]
     return machines + [(m, CORPUS_BOUND) for m in random_corpus(RANDOM_MACHINE_SEED, 52)]
+
+
+def reference_grid(m, bound):
+    """The reference numbering: ids counted up from 1, one key at a time,
+    Q, then H, then S, then Tr, each block in lexicographic order."""
+    ids = count(1)
+    times = cells = range(bound + 1)
+    states, symbols = sorted(m.states), sorted(m.tape_alphabet)
+    tr_keys = list(range(len(m.rules()))) + [PAD]
+    q = {(i, k): next(ids) for i in times for k in states}
+    h = {(i, j): next(ids) for i in times for j in cells}
+    s = {(i, j, sym): next(ids) for i in times for j in cells for sym in symbols}
+    tr = {(i, r): next(ids) for i in range(bound) for r in tr_keys}
+    return q, h, s, tr
+
+
+def reference_groups(m, y, bound):
+    """The reference reduction: every clause built one at a time, over
+    the reference numbering, group by group in GROUPS order."""
+    q, h, s, tr = reference_grid(m, bound)
+    T = bound
+    states, symbols, rules = sorted(m.states), sorted(m.tape_alphabet), m.rules()
+    c = initial_configuration(m, y)
+
+    def exactly_one(ids):
+        return [tuple(ids)] + [(-a, -b) for a, b in combinations(ids, 2)]
+
+    g1, g2, g3, g4, g5, g6 = groups = [[] for _ in GROUPS]
+    for i in range(T + 1):
+        g1.extend(exactly_one([q[(i, k)] for k in states]))
+    for i in range(T + 1):
+        g2.extend(exactly_one([h[(i, j)] for j in range(T + 1)]))
+    for i in range(T + 1):
+        for j in range(T + 1):
+            g3.extend(exactly_one([s[(i, j, l)] for l in symbols]))
+    g4.append((q[(0, c.state)],))
+    g4.append((h[(0, c.head)],))
+    g4.extend((s[(0, j, c.tape[j] if j < len(c.tape) else m.blank)],) for j in range(T + 1))
+    g5.append((q[(T, m.accept)],))
+    for i in range(T):
+        g6.append(tuple(tr[(i, r)] for r in list(range(len(rules))) + [PAD]))
+        for r, (state, symbol, nxt, write, move) in enumerate(rules):
+            g6.append((-tr[(i, r)], q[(i, state)]))
+            g6.append((-tr[(i, r)], q[(i + 1, nxt)]))
+            for j in range(T + 1):
+                g6.append((-tr[(i, r)], -h[(i, j)], s[(i, j, symbol)]))
+                g6.append((-tr[(i, r)], -h[(i, j)], s[(i + 1, j, write)]))
+                g6.append((-tr[(i, r)], -h[(i, j)], h[(i + 1, min(T, moved_head(j, move)))]))
+        pad = tr[(i, PAD)]
+        g6.append((-pad, q[(i, m.accept)]))
+        g6.append((-pad, q[(i + 1, m.accept)]))
+        for j in range(T + 1):
+            g6.append((-pad, -h[(i, j)], h[(i + 1, j)]))
+            for l in symbols:
+                g6.append((-pad, -s[(i, j, l)], s[(i + 1, j, l)]))
+        for j in range(T + 1):
+            for l in symbols:
+                g6.append((-s[(i, j, l)], h[(i, j)], s[(i + 1, j, l)]))
+    return dict(zip(GROUPS, map(tuple, groups)))
+
+
+def reference_cases():
+    """(machine, input, bound) of the reference check: every corpus
+    reduction, and each fixture at REFERENCE_BOUNDS on each corpus input
+    that fits."""
+    cases = [(m, y, bound) for m, bound in corpus_machines() for y in CORPUS_INPUTS]
+    cases += [(m, y, bound) for m in fixture_machines() for bound in REFERENCE_BOUNDS
+              for y in CORPUS_INPUTS if len(y) <= bound + 1]
+    return cases
 
 
 class TestReduce:
@@ -82,6 +158,29 @@ class TestReduce:
                 assert f.var_count == sum(kinds.values())
                 assert [len(f.grid.q), len(f.grid.h), len(f.grid.s), len(f.grid.tr)] == \
                     list(kinds.values())
+
+    def test_groups_match_the_reference_builder(self):
+        # The same clauses, as the same int tuples, in the same order.
+        for m, y, bound in reference_cases():
+            assert reduce_machine(m, y, bound).groups == reference_groups(m, y, bound), \
+                (m.name, y, bound)
+
+    def test_grid_rows_are_its_dict_values_in_order(self):
+        for m, bound in corpus_machines():
+            g = reduce_machine(m, "", bound).grid
+            maps = (g.q, g.h, g.s, g.tr)
+            assert [list(d.items()) for d in maps] == \
+                [list(d.items()) for d in reference_grid(m, bound)]
+            assert [list(g.Q), list(g.H), list(g.S), list(g.TR)] == \
+                [list(d.values()) for d in maps]
+            cells = range(bound + 1)
+            for i in cells:
+                assert list(g.h_row(i)) == [g.h[(i, j)] for j in cells]
+                assert list(g.s_block(i)) == [g.s[(i, j, l)] for j in cells for l in g.symbols]
+                for l in g.symbols:
+                    assert list(g.s_row(i, l)) == [g.s[(i, j, l)] for j in cells]
+            for i in range(bound):
+                assert list(g.tr_row(i)) == [g.tr[(i, r)] for r in g.tr_keys]
 
     def test_clause_limit_refuses_before_building(self, m_parity):
         assert reduction_clause_count(m_parity, 48) == 119_893

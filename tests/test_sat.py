@@ -304,6 +304,17 @@ class TestDimacs:
         for f, text in zip(formulas, texts):
             assert from_dimacs(text) == to_cnf(f)
 
+    def test_table_read_is_not_checked_again(self, m_parity, monkeypatch):
+        # The table yields only literals in -n..n and the cut only
+        # non-empty clauses, so the formula is built without a range check.
+        f = reduce_machine(m_parity, "11", 48)
+        text, cnf = to_dimacs(f), to_cnf(f)
+
+        def check(*args):
+            raise AssertionError("clauses checked again")
+        monkeypatch.setattr(sat, "_check_clauses", check)
+        assert from_dimacs(text) == cnf
+
     def test_clause_count_mismatch(self):
         with pytest.raises(DimacsError):
             from_dimacs("p cnf 2 3\n1 0\n-2 0\n")
