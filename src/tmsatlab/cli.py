@@ -72,12 +72,17 @@ def _load_machine(path: str):
 
 
 def _emit(text: str, out_path):
+    """Write text as UTF-8 to out_path or, with none, to stdout: the same
+    bytes either way, whatever the locale's encoding."""
     if out_path:
         try:
             Path(out_path).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise _FileError(f"cannot write {out_path}: {exc}") from exc
-    else:
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:  # a text stream with no bytes under it, such as a StringIO
         sys.stdout.write(text)
 
 

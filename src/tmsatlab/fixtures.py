@@ -13,7 +13,7 @@ FIXTURE_NAMES = ("m_accept1", "m_loop", "m_nd", "m_parity")
 
 
 def fixture_text(name: str) -> str:
-    return resources.files("tmsatlab.data").joinpath(f"{name}.tm").read_text()
+    return resources.files("tmsatlab.data").joinpath(f"{name}.tm").read_text(encoding="utf-8")
 
 
 def load_fixture(name: str) -> Machine:

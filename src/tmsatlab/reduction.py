@@ -53,11 +53,17 @@ class Clause(NamedTuple):
 
 class _Grid:
     """Deterministic variable numbering: Q, then H, then S, then Tr,
-    each block one range of consecutive ids in lexicographic grid order.
+    each block a run of consecutive ids in lexicographic grid order.
     Built once per reduction and shared by every formula made from it.
 
+    The grid owns one int object per literal: `ids[k]` is k and `negs[k]`
+    is -k, for k in 0..var_count. Its blocks, rows and dicts hand out the
+    objects of `ids`, and `neg` negates through `negs`, so the clauses of
+    a reduction refer to at most 2·var_count ints however often a literal
+    occurs, and a set or dict of literals matches them by identity.
+
     The dicts map a key, such as (i, j, sym) for S, to its id; the row
-    methods hand out slices of a block as ranges, so a clause group can
+    methods hand out slices of a block as lists, so a clause group can
     be built from whole rows instead of one key at a time."""
 
     def __init__(self, m: Machine, bound: int):
@@ -70,29 +76,35 @@ class _Grid:
         times = cells = range(bound + 1)
         self.width = bound + 1  # cells per time
         starts = list(accumulate(reduction_var_counts(m, bound).values(), initial=1))
-        self.Q, self.H, self.S, self.TR = map(range, starts, starts[1:])
+        self.var_count = starts[-1] - 1
+        self.ids = list(range(self.var_count + 1))
+        self.negs = list(range(0, -self.var_count - 1, -1))
+        self.Q, self.H, self.S, self.TR = (self.ids[a:b] for a, b in zip(starts, starts[1:]))
         self.q: Dict[Tuple[int, str], int] = dict(zip(product(times, self.states), self.Q))
         self.h: Dict[Tuple[int, int], int] = dict(zip(product(times, cells), self.H))
         self.s: Dict[Tuple[int, int, str], int] = dict(
             zip(product(times, cells, self.symbols), self.S))
         self.tr: Dict[Tuple[int, Union[int, str]], int] = dict(
             zip(product(range(bound), self.tr_keys), self.TR))
-        self.var_count = starts[-1] - 1
 
-    def h_row(self, i: int) -> range:
+    def neg(self, ids: List[int]) -> List[int]:
+        """The negated literals of `ids`, in its order, from `negs`."""
+        return list(map(self.negs.__getitem__, ids))
+
+    def h_row(self, i: int) -> List[int]:
         """The H ids of time i, by cell."""
         return self.H[i * self.width:(i + 1) * self.width]
 
-    def s_block(self, i: int) -> range:
+    def s_block(self, i: int) -> List[int]:
         """The S ids of time i, by cell and then symbol."""
         size = self.width * len(self.symbols)
         return self.S[i * size:(i + 1) * size]
 
-    def s_row(self, i: int, sym: str) -> range:
+    def s_row(self, i: int, sym: str) -> List[int]:
         """The S ids of symbol `sym` at time i, by cell."""
         return self.s_block(i)[self.symbols.index(sym)::len(self.symbols)]
 
-    def tr_row(self, i: int) -> range:
+    def tr_row(self, i: int) -> List[int]:
         """The Tr ids of step i, in `tr_keys` order."""
         size = len(self.tr_keys)
         return self.TR[i * size:(i + 1) * size]
@@ -143,18 +155,15 @@ class LabeledFormula:
         return self.grid.var_count
 
 
-def _neg(ids: range) -> range:
-    """The negated literals of a range of ids, in its order."""
-    return range(-ids.start, -ids.stop, -ids.step)
-
-
-def _exactly_one(block: range, width: int) -> Iterator[Tuple[int, ...]]:
-    """For each row of `width` consecutive ids of `block`, in order: the
-    row as one clause, then (-a, -b) for each pair of the row in
-    `combinations` order. Built from the block's columns, one stream per
-    pair of columns, so the clauses come from C-level iterators."""
+def _exactly_one(g: _Grid, block: List[int], width: int) -> Iterator[Tuple[int, ...]]:
+    """For each row of `width` consecutive ids of `block`, a block of g,
+    in order: the row as one clause, then (-a, -b) for each pair of the
+    row in `combinations` order, the negations taken from g's `negs`.
+    Built from the block's columns, one stream per pair of columns, so
+    the clauses come from C-level iterators."""
     cols = [block[k::width] for k in range(width)]
-    pairs = (zip(_neg(a), _neg(b)) for a, b in combinations(cols, 2))
+    not_cols = [g.neg(col) for col in cols]
+    pairs = (zip(a, b) for a, b in combinations(not_cols, 2))
     return chain.from_iterable(zip(zip(*cols), *pairs))
 
 
@@ -231,11 +240,11 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
     g1, g2, g3, g4, g5, g6 = groups
 
     # G1/G2/G3: exactly one state, head cell, and symbol per cell, per time.
-    g1 += _exactly_one(g.Q, len(g.states))
+    g1 += _exactly_one(g, g.Q, len(g.states))
     for i in range(T + 1):
         g2.append(tuple(g.h_row(i)))
-        g2 += combinations(_neg(g.h_row(i)), 2)
-    g3 += _exactly_one(g.S, len(g.symbols))
+        g2 += combinations(g.neg(g.h_row(i)), 2)
+    g3 += _exactly_one(g, g.S, len(g.symbols))
 
     # G4: the initial configuration, as unit clauses.
     g4.append((g.q[(0, c.state)],))
@@ -252,28 +261,29 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
     moved = [[min(T, moved_head(j, move)) for j in range(T + 1)] for *_, move in g.rules]
     for i in range(T):
         heads, next_heads = g.h_row(i), g.h_row(i + 1)
-        not_heads = _neg(heads)
+        not_heads = g.neg(heads)
         tr_ids = g.tr_row(i)
+        not_trs = g.neg(tr_ids)
         g6.append(tuple(tr_ids))
-        for tr, (state, symbol, nxt, write, _), to in zip(tr_ids, g.rules, moved):
-            g6.append((-tr, g.q[(i, state)]))
-            g6.append((-tr, g.q[(i + 1, nxt)]))
+        for not_tr, (state, symbol, nxt, write, _), to in zip(not_trs, g.rules, moved):
+            g6.append((not_tr, g.q[(i, state)]))
+            g6.append((not_tr, g.q[(i + 1, nxt)]))
             # With the head on cell j: read `symbol`, write `write`, move
             # to cell to[j].
             g6 += chain.from_iterable(zip(
-                zip(repeat(-tr), not_heads, g.s_row(i, symbol)),
-                zip(repeat(-tr), not_heads, g.s_row(i + 1, write)),
-                zip(repeat(-tr), not_heads, map(next_heads.__getitem__, to))))
-        pad = tr_ids[-1]  # PAD is the last Tr key
-        g6.append((-pad, g.q[(i, m.accept)]))
-        g6.append((-pad, g.q[(i + 1, m.accept)]))
+                zip(repeat(not_tr), not_heads, g.s_row(i, symbol)),
+                zip(repeat(not_tr), not_heads, g.s_row(i + 1, write)),
+                zip(repeat(not_tr), not_heads, map(next_heads.__getitem__, to))))
+        not_pad = not_trs[-1]  # PAD is the last Tr key
+        g6.append((not_pad, g.q[(i, m.accept)]))
+        g6.append((not_pad, g.q[(i + 1, m.accept)]))
         # Padding keeps the head and, for each cell, every symbol.
         g6 += chain.from_iterable(zip(
-            zip(repeat(-pad), not_heads, next_heads),
-            *(zip(repeat(-pad), _neg(g.s_row(i, l)), g.s_row(i + 1, l)) for l in g.symbols)))
+            zip(repeat(not_pad), not_heads, next_heads),
+            *(zip(repeat(not_pad), g.neg(g.s_row(i, l)), g.s_row(i + 1, l)) for l in g.symbols)))
         # Frame: cells away from the head keep their symbol.
         each_head = chain.from_iterable(zip(*repeat(heads, len(g.symbols))))
-        g6 += zip(_neg(g.s_block(i)), each_head, g.s_block(i + 1))
+        g6 += zip(g.neg(g.s_block(i)), each_head, g.s_block(i + 1))
 
     return LabeledFormula(g, dict(zip(GROUPS, groups)), input_str)
 

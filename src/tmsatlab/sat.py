@@ -15,7 +15,10 @@ CLI's `solve` and the property suite run it.
 
 A clause is a tuple of int literals all the way from the reduction to
 the solver: `to_cnf` chains the reduction's own tuples group by group,
-and `from_dimacs` cuts its clauses out of one tuple of tokens. `_index`
+and `from_dimacs` cuts its clauses out of one tuple of tokens. The
+reduction's literals are its grid's own int objects, one per literal,
+so the set of literals `to_cnf`'s check builds and the table
+`to_dimacs` writes through match them by identity. `_index`
 says how the solver stores them: a clause of three or more literals is
 copied into one list of ints per solve, as MiniSat's clause arena holds
 clauses (Eén and Sörensson, "An Extensible SAT-solver", SAT 2003), so a
@@ -526,18 +529,21 @@ def to_dimacs(f) -> str:
     raises ValueError naming it; an empty clause, ValueError("empty clause").
     """
     n = f.var_count
-    # Literals are written from a table of their strings. It holds only
-    # the literals of n variables, so a bad literal is a missing key, never
-    # another literal's string; its one other key, _END, ends a clause.
-    lits = [*range(-n, 0), *range(1, n + 1)]
-    table = dict(zip(lits, map(str, lits)))
-    table[_END] = "0"
-    name = table.__getitem__
     if isinstance(f, LabeledFormula):
         lines = [f"c var {vid} = {label}" for vid, label in f.grid.labels()]
         runs = f.groups.items()
+        # The grid's own literal objects, the ones its clauses hold, so a
+        # lookup matches its key by identity.
+        lits = f.grid.negs[1:] + f.grid.ids[1:]
     else:
         lines, runs = [], [(None, f.clauses)]
+        lits = [*range(-n, 0), *range(1, n + 1)]
+    # Literals are written from a table of their strings. It holds only
+    # the literals of n variables, so a bad literal is a missing key, never
+    # another literal's string; its one other key, _END, ends a clause.
+    table = dict(zip(lits, map(str, lits)))
+    table[_END] = "0"
+    name = table.__getitem__
     lines.append(f"p cnf {n} {sum(len(clauses) for _, clauses in runs)}")
 
     def name_fault():

@@ -477,26 +477,41 @@ class TestFileErrors:
 
 
 class TestOutputEncoding:
-    """Output files are written as UTF-8, the encoding machines are read
-    in, whatever the locale's encoding."""
+    """Output is written as UTF-8, the encoding machines are read in,
+    whatever the locale's encoding: to a file and to stdout alike."""
 
     ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    COMMANDS = pytest.mark.parametrize("command", [["reduce"], ["history", "encode"]],
+                                       ids=["reduce", "history-encode"])
 
-    @pytest.mark.parametrize("command", [["reduce"], ["history", "encode"]],
-                             ids=["reduce", "history-encode"])
-    def test_output_file_is_utf8_under_an_ascii_locale(self, tmp_path, command):
-        machine_path, out = tmp_path / "u.tm", tmp_path / "u.cnf"
+    def run_under_an_ascii_locale(self, tmp_path, command, *out_args):
+        """Run `command` on m_accept1 with its accept state renamed q\u00e9,
+        in a subprocess under an ASCII locale; stdout and stderr are bytes."""
+        machine_path = tmp_path / "u.tm"
         machine_path.write_text(fixture_text("m_accept1").replace("qacc", "q\u00e9"),
                                 encoding="utf-8")
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "tmsatlab.cli", *command, "-m", str(machine_path),
-             "-i", "1", "-T", "1", "-o", str(out)],
+             "-i", "1", "-T", "1", *out_args],
             env={**os.environ, **self.ASCII_LOCALE, "PYTHONPATH": path},
-            capture_output=True, text=True)
-        assert (run.returncode, run.stderr) == (0, "")
+            capture_output=True)
+
+    @COMMANDS
+    def test_output_file_is_utf8_under_an_ascii_locale(self, tmp_path, command):
+        out = tmp_path / "u.cnf"
+        run = self.run_under_an_ascii_locale(tmp_path, command, "-o", str(out))
+        assert (run.returncode, run.stderr) == (0, b"")
         assert "= Q(0,q\u00e9)\n" in out.read_bytes().decode("utf-8")
+
+    @COMMANDS
+    def test_stdout_is_the_output_files_bytes_under_an_ascii_locale(self, tmp_path, command):
+        out = tmp_path / "u.cnf"
+        assert self.run_under_an_ascii_locale(tmp_path, command, "-o", str(out)).returncode == 0
+        run = self.run_under_an_ascii_locale(tmp_path, command)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout == out.read_bytes()
 
 
 class TestArgue:

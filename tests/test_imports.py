@@ -1,6 +1,7 @@
 """src imports nothing it does not use. With tests/test_tracing.py, which
 pins the names the benchmark's tracer looks up, this fixes the set of
-names each module of src imports."""
+names each module of src imports. And src names the encoding of every
+text file it opens, reads or writes, so no file depends on the locale."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,31 @@ def test_an_unused_import_is_found():
     source = ("from typing import Dict, List\nimport os.path\n"
               "def f(a: Dict) -> None:\n    return os\n")
     assert unused_imports(source) == ["List"]
+
+
+TEXT_FILE_CALLS = {"open", "read_text", "write_text"}
+
+
+def calls_without_encoding(source: str):
+    """(line, name) of each call to a function or method named `open`,
+    `read_text` or `write_text` that passes no `encoding=`, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in TEXT_FILE_CALLS and "encoding" not in [kw.arg for kw in node.keywords]:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_src_names_the_encoding_of_every_text_file(path):
+    assert calls_without_encoding(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_call_without_encoding_is_found():
+    source = ("open(p)\nPath(p).read_text()\nopen(p, encoding='utf-8')\n"
+              "f.write_text(s, encoding='utf-8')\nread_text(p)\n_read_text(p)\n")
+    assert calls_without_encoding(source) == [(1, "open"), (2, "read_text"), (5, "read_text")]

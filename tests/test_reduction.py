@@ -1,6 +1,6 @@
 import time
 from collections import Counter
-from itertools import combinations, count
+from itertools import chain, combinations, count
 
 import pytest
 
@@ -181,6 +181,22 @@ class TestReduce:
                     assert list(g.s_row(i, l)) == [g.s[(i, j, l)] for j in cells]
             for i in range(bound):
                 assert list(g.tr_row(i)) == [g.tr[(i, r)] for r in g.tr_keys]
+
+    def test_every_literal_is_the_grids_own_object(self):
+        # One int object per literal: each clause holds the grid's ids[v]
+        # for v and its negs[v] for -v, never an equal copy. CPython
+        # shares the ints up to 256 anyway, so the corpus reductions pin
+        # the negations and the fixtures at the larger REFERENCE_BOUNDS
+        # pin the positive literals too.
+        cases = [(m, y, bound) for m, bound in corpus_machines() for y in CORPUS_INPUTS]
+        cases += [(m, "1", bound) for m in fixture_machines() for bound in REFERENCE_BOUNDS]
+        for m, y, bound in cases:
+            f = reduce_machine(m, y, bound)
+            g = f.grid
+            own = set(map(id, g.ids[1:] + g.negs[1:]))
+            for group, clauses in f.groups.items():
+                copies = [lit for lit in chain.from_iterable(clauses) if id(lit) not in own]
+                assert copies == [], (m.name, y, bound, group)
 
     def test_clause_limit_refuses_before_building(self, m_parity):
         assert reduction_clause_count(m_parity, 48) == 119_893
