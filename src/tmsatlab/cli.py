@@ -73,7 +73,9 @@ def _load_machine(path: str):
 
 def _emit(text: str, out_path):
     """Write text as UTF-8 to out_path or, with none, to stdout: the same
-    bytes either way, whatever the locale's encoding."""
+    bytes either way, whatever the locale's encoding. On stdout, a file
+    name that the locale could not decode, such as a library entry's, is
+    written as the bytes it has on disk."""
     if out_path:
         try:
             Path(out_path).write_text(text, encoding="utf-8")
@@ -81,9 +83,14 @@ def _emit(text: str, out_path):
             raise _FileError(f"cannot write {out_path}: {exc}") from exc
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
     else:  # a text stream with no bytes under it, such as a StringIO
         sys.stdout.write(text)
+
+
+def _emit_lines(lines):
+    """Write each line, and a newline after it, to stdout through `_emit`."""
+    _emit("".join(f"{line}\n" for line in lines), None)
 
 
 def _cmd_reduce(args) -> int:
@@ -145,20 +152,22 @@ def _cmd_history(args) -> int:
         lits = " ".join(str(v if assignment[v] else -v) for v in sorted(assignment))
         _emit(to_dimacs(f) + f"c induced-assignment: {lits}\n", args.output)
     else:  # extract
-        t = extract_particular_table(witness, m)
-        for state, symbol, nxt, write, move in t.rules():
-            print(f"rule: {state} {symbol} -> {nxt} {write} {move}")
+        _emit_lines(_rule_lines(extract_particular_table(witness, m)))
     return EXIT_OK
+
+
+def _rule_lines(table):
+    """One `rule:` line per rule of a transition table, in `rules()` order."""
+    return [f"rule: {state} {symbol} -> {nxt} {write} {move}"
+            for state, symbol, nxt, write, move in table.rules()]
 
 
 def _cmd_merge(args) -> int:
     ma = _load_machine(args.table_a)
     mb = _load_machine(args.table_b)
     merged = merge_tables(ma.table, mb.table, ma.start, mb.start)
-    print(f"selector: {merged.selector_state} -> "
-          f"{merged.selector[0]} | {merged.selector[1]}")
-    for state, symbol, nxt, write, move in merged.rules():
-        print(f"rule: {state} {symbol} -> {nxt} {write} {move}")
+    _emit_lines([f"selector: {merged.selector_state} -> "
+                 f"{merged.selector[0]} | {merged.selector[1]}", *_rule_lines(merged)])
     return EXIT_OK
 
 
@@ -216,12 +225,11 @@ def _cmd_kim(args) -> int:
         if args.json:
             print(json.dumps(info, indent=2))
         else:
-            for entry in info["entries"]:
-                compat = "compatible" if entry["compatible"] else "grid-incompatible"
-                print(f"entry {entry['index']} ({entry['name']}): "
-                      f"{entry['clauses']} run-part clauses, {compat}")
-            print(f"{info['distinct_run_parts']} distinct run parts "
-                  f"for {len(pm.library)} entries")
+            lines = [f"entry {entry['index']} ({entry['name']}): {entry['clauses']} run-part "
+                     f"clauses, {'compatible' if entry['compatible'] else 'grid-incompatible'}"
+                     for entry in info["entries"]]
+            _emit_lines([*lines, f"{info['distinct_run_parts']} distinct run parts "
+                                 f"for {len(pm.library)} entries"])
         return EXIT_OK
 
     report = parity.run_parity_machine(pm, args.input)
@@ -229,12 +237,11 @@ def _cmd_kim(args) -> int:
         if args.json:
             print(parity.report_to_json(report))
         else:
-            for inst in report.instances:
-                verdict = "sat" if inst.satisfiable else "unsat"
-                print(f"instance {inst.index} ({names[inst.index]}): "
-                      f"{inst.clause_count} clauses, {verdict}")
-            print(f"counter={report.counter} accept={report.accept} "
-                  f"cost={report.cost}")
+            lines = [f"instance {inst.index} ({names[inst.index]}): {inst.clause_count} "
+                     f"clauses, {'sat' if inst.satisfiable else 'unsat'}"
+                     for inst in report.instances]
+            _emit_lines([*lines, f"counter={report.counter} accept={report.accept} "
+                                 f"cost={report.cost}"])
         return EXIT_OK
 
     # metrics
@@ -269,15 +276,16 @@ def _cmd_argue(args) -> int:
     if args.json:
         print(json.dumps(report, indent=2))
     else:
+        lines = []
         for key, value in report.items():
             if key == "schema":
-                for premise in value["premises"]:
-                    print(f"premise: {premise}")
+                lines += [f"premise: {premise}" for premise in value["premises"]]
                 if "axiom" in value:
-                    print(f"axiom: {value['axiom']}")
-                print(f"conclusion: {value['conclusion']}")
+                    lines.append(f"axiom: {value['axiom']}")
+                lines.append(f"conclusion: {value['conclusion']}")
             else:
-                print(f"{key}={json.dumps(value)}")
+                lines.append(f"{key}={json.dumps(value)}")
+        _emit_lines(lines)
     return EXIT_OK
 
 

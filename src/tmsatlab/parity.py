@@ -127,7 +127,7 @@ def run_parity_machine(pm: ParityMachine, y: str) -> RunReport:
     reported one by one, but the shared part is solved once per call.
     """
     cy = input_part(reduce_machine(pm.base, y, pm.bound))
-    memo = {}  # id of a run-part object -> (groups, satisfiable, history)
+    memo = {}  # id of a run-part object -> (clauses, groups, satisfiable, history)
     instances: List[InstanceResult] = []
     counter = 0
     for idx, cr in enumerate(pm.library):
@@ -141,11 +141,10 @@ def run_parity_machine(pm: ParityMachine, y: str) -> RunReport:
                 satisfiable = result.satisfiable
                 if satisfiable:
                     history = decode_assignment(cj, result.assignment)
-            memo[id(cr)] = (groups, satisfiable, history)
-        groups, satisfiable, history = memo[id(cr)]
+            memo[id(cr)] = (cy.clause_count + cr.clause_count, groups, satisfiable, history)
+        clause_count, groups, satisfiable, history = memo[id(cr)]
         counter += satisfiable
-        instances.append(InstanceResult(idx, cy.clause_count + cr.clause_count,
-                                        dict(groups), satisfiable, history))
+        instances.append(InstanceResult(idx, clause_count, dict(groups), satisfiable, history))
     cost = sum(inst.clause_count for inst in instances) + cy.clause_count
     designated = next((inst.index for inst in instances if inst.satisfiable), None)
     return RunReport(

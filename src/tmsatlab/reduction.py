@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, product, repeat
-from typing import Dict, Iterator, List, NamedTuple, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 from .machine import (
     ComputationHistory,
@@ -126,7 +126,14 @@ class _Grid:
 class LabeledFormula:
     """Clauses over the variable grid of one reduction of `grid.machine`
     on `input`: a tuple of int-tuple clauses for each name in GROUPS, in
-    order. A group left out is empty; a name outside GROUPS is refused."""
+    order. A group left out is empty; a name outside GROUPS is refused.
+
+    A formula built here is checked once, as it is built: a clause given
+    as another sequence becomes a tuple, and `_check_clauses` names the
+    first empty clause or literal outside ±var_count in GROUPS order. The
+    builders below make their formulas through `_labeled` instead, without
+    the check: their literals are the grid's own, or come from formulas
+    already checked."""
 
     grid: _Grid
     groups: Dict[str, Tuple[Tuple[int, ...], ...]]
@@ -136,7 +143,8 @@ class LabeledFormula:
         for group in self.groups:
             if group not in GROUPS:
                 raise ValueError(f"unknown clause group {group!r}")
-        self.groups = {group: tuple(self.groups.get(group, ())) for group in GROUPS}
+        self.groups = {group: tuple(map(tuple, self.groups.get(group, ()))) for group in GROUPS}
+        _check_clauses(list(chain.from_iterable(self.groups.values())), self.var_count)
 
     @property
     def clauses(self) -> Tuple[Clause, ...]:
@@ -153,6 +161,33 @@ class LabeledFormula:
     @property
     def var_count(self) -> int:
         return self.grid.var_count
+
+
+def _labeled(grid: _Grid, groups: Dict, input_str: str) -> LabeledFormula:
+    """The LabeledFormula of `groups`, which maps every name in GROUPS, in
+    order, to a tuple of well-formed int-tuple clauses over grid's
+    variables, built without `LabeledFormula`'s check. Only the four
+    builders of this module call it."""
+    f = object.__new__(LabeledFormula)
+    f.grid, f.groups, f.input = grid, groups, input_str
+    return f
+
+
+def _check_clauses(clauses: Sequence[Sequence[int]], n: int):
+    """Raise ValueError naming the first empty clause or literal outside
+    -n..-1, 1..n, in clause order. One pass over the set of literals
+    clears a well-formed list; only a list it does not clear is walked
+    clause by clause, for the first fault."""
+    lits = set(chain.from_iterable(clauses))
+    if (all(clauses) and 0 not in lits
+            and -n <= min(lits, default=0) and max(lits, default=0) <= n):
+        return
+    for clause in clauses:
+        if not clause:
+            raise ValueError("empty clause")
+        for lit in clause:
+            if lit == 0 or abs(lit) > n:
+                raise ValueError(f"literal {lit} out of range 1..{n}")
 
 
 def _exactly_one(g: _Grid, block: List[int], width: int) -> Iterator[Tuple[int, ...]]:
@@ -285,17 +320,18 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
         each_head = chain.from_iterable(zip(*repeat(heads, len(g.symbols))))
         g6 += zip(g.neg(g.s_block(i)), each_head, g.s_block(i + 1))
 
-    return LabeledFormula(g, dict(zip(GROUPS, groups)), input_str)
+    return _labeled(g, dict(zip(GROUPS, map(tuple, groups))), input_str)
 
 
 def input_part(f: LabeledFormula) -> LabeledFormula:
     """Exactly the G4 clauses, over f's grid."""
-    return LabeledFormula(f.grid, {INPUT_GROUP: f.groups[INPUT_GROUP]}, f.input)
+    return _labeled(f.grid, {**dict.fromkeys(GROUPS, ()), INPUT_GROUP: f.groups[INPUT_GROUP]},
+                    f.input)
 
 
 def run_part(f: LabeledFormula) -> LabeledFormula:
     """All non-G4 clauses, over f's grid."""
-    return LabeledFormula(f.grid, {**f.groups, INPUT_GROUP: ()}, f.input)
+    return _labeled(f.grid, {**f.groups, INPUT_GROUP: ()}, f.input)
 
 
 def machine_grid_signature(m: Machine, bound: int):
@@ -310,6 +346,7 @@ def concatenate(cy: LabeledFormula, cr: LabeledFormula) -> LabeledFormula:
 
     Raises GridIncompatibleError when the two grids (bound, state set,
     symbol set) differ; such a pair can never be satisfiable together.
+    A G4 literal outside the run part's grid raises ValueError naming it.
     """
     if any(clauses for group, clauses in cy.groups.items() if group != INPUT_GROUP):
         raise ValueError("first argument must contain only G4 clauses")
@@ -318,10 +355,11 @@ def concatenate(cy: LabeledFormula, cr: LabeledFormula) -> LabeledFormula:
     if cy.grid.signature != cr.grid.signature:
         raise GridIncompatibleError(
             "formulas use entirely incompatible variable grids")
-    # The signature fixes the Q/H/S blocks, the only variables G4 refers
-    # to; the run part's grid also numbers its own Tr block.
+    # The signature fixes the Q/H/S blocks, the only ids a reduction's G4
+    # holds; a hand-built G4 may hold others, so its few units are checked.
+    _check_clauses(cy.groups[INPUT_GROUP], cr.var_count)
     joined = {group: cy.groups[group] + cr.groups[group] for group in GROUPS}
-    return LabeledFormula(cr.grid, joined, cy.input)
+    return _labeled(cr.grid, joined, cy.input)
 
 
 def _config_symbol(c: Configuration, j: int, blank: str) -> str:

@@ -15,10 +15,11 @@ CLI's `solve` and the property suite run it.
 
 A clause is a tuple of int literals all the way from the reduction to
 the solver: `to_cnf` chains the reduction's own tuples group by group,
-and `from_dimacs` cuts its clauses out of one tuple of tokens. The
-reduction's literals are its grid's own int objects, one per literal,
-so the set of literals `to_cnf`'s check builds and the table
-`to_dimacs` writes through match them by identity. `_index`
+and `from_dimacs` cuts its clauses out of one tuple of tokens. A labeled
+formula is range-checked once, where it is built from outside the
+reduction, so `to_cnf` takes no pass over its literals. The reduction's
+literals are its grid's own int objects, one per literal, so the table
+`to_dimacs` writes through matches them by identity. `_index`
 says how the solver stores them: a clause of three or more literals is
 copied into one list of ints per solve, as MiniSat's clause arena holds
 clauses (Eén and Sörensson, "An Extensible SAT-solver", SAT 2003), so a
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .reduction import LabeledFormula
+from .reduction import LabeledFormula, _check_clauses
 
 BRUTE_FORCE_VAR_LIMIT = 24
 # The solver allocates per declared variable; the benchmark's largest
@@ -92,23 +93,6 @@ class CnfFormula:
         _check_clauses(self.clauses, self.var_count)
 
 
-def _check_clauses(clauses: Sequence[Sequence[int]], n: int):
-    """Raise ValueError naming the first empty clause or literal outside
-    -n..-1, 1..n, in clause order. One pass over the set of literals
-    clears a well-formed list; only a list it does not clear is walked
-    clause by clause, for the first fault."""
-    lits = set(chain.from_iterable(clauses))
-    if (all(clauses) and 0 not in lits
-            and -n <= min(lits, default=0) and max(lits, default=0) <= n):
-        return
-    for clause in clauses:
-        if not clause:
-            raise ValueError("empty clause")
-        for lit in clause:
-            if lit == 0 or abs(lit) > n:
-                raise ValueError(f"literal {lit} out of range 1..{n}")
-
-
 @dataclass
 class SolveResult:
     """A verdict, the model of a Sat verdict, and what the search did:
@@ -127,8 +111,9 @@ class SolveResult:
 
 def to_cnf(f: LabeledFormula) -> CnfFormula:
     """Strip the labels off a labeled formula: its groups' clauses in
-    GROUPS order, the reduction's own tuples, not copies."""
-    return CnfFormula(f.var_count, chain.from_iterable(f.groups.values()))
+    GROUPS order, the reduction's own tuples, not copies. A labeled
+    formula is checked when it is built, so they are not checked again."""
+    return _well_formed(f.var_count, list(chain.from_iterable(f.groups.values())))
 
 
 def check_model(f: CnfFormula, assignment: Dict[int, bool]) -> bool:
@@ -550,8 +535,9 @@ def to_dimacs(f) -> str:
         # The clause-by-clause check names the first fault.
         _check_clauses([clause for _, clauses in runs for clause in clauses], n)
 
-    # A labeled formula is not checked when it is built: an empty clause
-    # is refused here, before it could be written as a bare "0".
+    # Both kinds of formula are checked when built, but not clauses set on
+    # them afterwards: an empty clause is refused here, before it could be
+    # written as a bare "0".
     if not all(all(clauses) for _, clauses in runs):
         name_fault()
     first = 1

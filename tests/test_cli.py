@@ -481,22 +481,28 @@ class TestOutputEncoding:
     whatever the locale's encoding: to a file and to stdout alike."""
 
     ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    UTF8_MODE = {"PYTHONUTF8": "1"}
     COMMANDS = pytest.mark.parametrize("command", [["reduce"], ["history", "encode"]],
                                        ids=["reduce", "history-encode"])
+    MACHINE_TEXT = fixture_text("m_accept1").replace("qacc", "q\u00e9")
+
+    @staticmethod
+    def run_cli(locale, *args):
+        """Run the CLI on `args` in a subprocess with the environment
+        variables of `locale` set; stdout and stderr are bytes."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "tmsatlab.cli", *args],
+                              env={**os.environ, **locale, "PYTHONPATH": path},
+                              capture_output=True)
 
     def run_under_an_ascii_locale(self, tmp_path, command, *out_args):
         """Run `command` on m_accept1 with its accept state renamed q\u00e9,
-        in a subprocess under an ASCII locale; stdout and stderr are bytes."""
+        in a subprocess under an ASCII locale."""
         machine_path = tmp_path / "u.tm"
-        machine_path.write_text(fixture_text("m_accept1").replace("qacc", "q\u00e9"),
-                                encoding="utf-8")
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "tmsatlab.cli", *command, "-m", str(machine_path),
-             "-i", "1", "-T", "1", *out_args],
-            env={**os.environ, **self.ASCII_LOCALE, "PYTHONPATH": path},
-            capture_output=True)
+        machine_path.write_text(self.MACHINE_TEXT, encoding="utf-8")
+        return self.run_cli(self.ASCII_LOCALE, *command, "-m", str(machine_path),
+                            "-i", "1", "-T", "1", *out_args)
 
     @COMMANDS
     def test_output_file_is_utf8_under_an_ascii_locale(self, tmp_path, command):
@@ -512,6 +518,35 @@ class TestOutputEncoding:
         run = self.run_under_an_ascii_locale(tmp_path, command)
         assert (run.returncode, run.stderr) == (0, b"")
         assert run.stdout == out.read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["history", "extract", "-m", "{machine}", "-i", "1", "-T", "1"],
+        ["merge", "-a", "{machine}", "-b", "{machine}"],
+        ["kim", "build", "--library", "{library}", "--base", "{machine}", "-T", "1"],
+        ["kim", "run", "--library", "{library}", "--base", "{machine}", "-T", "1", "-i", "1"],
+        ["argue", "--schema", "{schema}"],
+    ], ids=["history-extract", "merge", "kim-build", "kim-run", "argue"])
+    def test_text_report_is_utf8_under_an_ascii_locale(self, tmp_path, command):
+        # The reports name states or atoms, here q\u00e9, and library
+        # entries, here the file q\u00e9.tm, which is made by its UTF-8
+        # bytes so that an ASCII locale running this test can make it too.
+        machine_path = tmp_path / "u.tm"
+        machine_path.write_text(self.MACHINE_TEXT, encoding="utf-8")
+        schema = tmp_path / "s.arg"
+        schema.write_text("premise: q\u00e9\nconclusion: q\u00e9\n", encoding="utf-8")
+        library = tmp_path / "lib"
+        library.mkdir()
+        entry = os.path.join(os.fsencode(library), "q\u00e9".encode("utf-8"))
+        with open(entry + b".tm", "wb") as fh:
+            fh.write(self.MACHINE_TEXT.encode("utf-8"))
+        with open(entry + b".in", "wb") as fh:
+            fh.write(b"1\n")
+        args = [arg.format(machine=machine_path, library=library, schema=schema)
+                for arg in command]
+        runs = [self.run_cli(locale, *args) for locale in (self.ASCII_LOCALE, self.UTF8_MODE)]
+        assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
+        assert runs[0].stdout == runs[1].stdout
+        assert "q\u00e9".encode("utf-8") in runs[0].stdout
 
 
 class TestArgue:

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from tmsatlab.argument import FormulaSyntaxError, parse_formula
 from tmsatlab.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from tmsatlab.machine import MachineError, parse_machine
-from tmsatlab.reduction import GROUPS, LabeledFormula, reduce_machine
+from tmsatlab.reduction import GROUPS, LabeledFormula, _check_clauses, reduce_machine
 from tmsatlab.sat import (
     _BULK_LINES,
     CnfFormula,
     DimacsError,
-    _check_clauses,
     _header,
     from_dimacs,
     to_dimacs,
@@ -214,17 +213,17 @@ def clause_lists(draw, n):
 
 @st.composite
 def writable_formulas(draw):
-    """A CnfFormula, its clauses set after it is built so that a fault
-    gets past its check, or a LabeledFormula over a reduction's grid."""
+    """A CnfFormula, or a LabeledFormula over a reduction's grid, its
+    clauses set after it is built so that a fault gets past its check."""
     if draw(st.booleans()):
         n = draw(st.integers(0, 12))
         f = CnfFormula(n, [])
         f.clauses = draw(clause_lists(n))
         return f
-    n = LABELED_GRID.var_count
-    groups = {group: draw(clause_lists(n)) for group in
-              draw(st.lists(st.sampled_from(GROUPS), unique=True))}
-    return LabeledFormula(LABELED_GRID, groups, "1")
+    f = LabeledFormula(LABELED_GRID, {}, "1")
+    for group in draw(st.lists(st.sampled_from(GROUPS), unique=True)):
+        f.groups[group] = tuple(draw(clause_lists(f.var_count)))
+    return f
 
 
 def text_or_message(write, f):

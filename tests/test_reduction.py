@@ -1,3 +1,4 @@
+import operator
 import time
 from collections import Counter
 from itertools import chain, combinations, count
@@ -314,6 +315,16 @@ class TestConcatenate:
             assert decode_assignment(cj, result.assignment) == \
                 decode_assignment(own, own_result.assignment)
 
+    def test_input_unit_outside_the_run_parts_grid_is_refused(self, m_accept1, m_nd):
+        # A hand-built input part may name a Tr id of its own grid that
+        # the run part's smaller grid lacks; the join checks it there.
+        cr = run_part(reduce_machine(m_accept1, "1", 3))
+        grid = reduce_machine(m_nd, "1", 3).grid
+        cy = LabeledFormula(grid, {"G4": ((grid.var_count,),)}, "1")
+        with pytest.raises(ValueError, match=f"^literal {grid.var_count} out of range "
+                                             f"1..{cr.var_count}$"):
+            concatenate(cy, cr)
+
     def test_argument_roles_enforced(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 1)
         with pytest.raises(ValueError, match="first argument"):
@@ -329,6 +340,31 @@ class TestGroups:
         assert list(f.groups) == list(GROUPS)
         assert f.groups == {**{group: () for group in GROUPS},
                             "G1": ((3,),), "G6": ((1, 2),)}
+
+    @pytest.mark.parametrize("fault", ["zero", "above", "below", "empty"])
+    def test_constructor_refuses_an_ill_formed_clause(self, m_accept1, fault):
+        # With the messages `to_cnf` gave when it checked, naming the first
+        # fault in GROUPS order whatever order the groups are given in.
+        grid = reduce_machine(m_accept1, "1", 1).grid
+        n = grid.var_count
+        bad = {"zero": (2, 0), "above": (2, n + 1), "below": (-n - 1,), "empty": ()}[fault]
+        message = f"literal {bad[-1]} out of range 1..{n}" if bad else "empty clause"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LabeledFormula(grid, {"G6": ((n + 2,),), "G1": ((1,), bad)}, "1")
+
+    def test_to_cnf_hands_over_the_checked_clauses_on_the_corpus(self):
+        # `to_cnf` does not check: over every corpus reduction, its parts
+        # and joins of parts, its clauses are those a checked CnfFormula
+        # keeps, the same tuple objects in the same order.
+        for m, bound in corpus_machines():
+            formulas = [reduce_machine(m, y, bound) for y in CORPUS_INPUTS]
+            for f in formulas:
+                cy, cr = input_part(f), run_part(f)
+                for h in (f, cy, cr, concatenate(cy, cr), concatenate(cy, run_part(formulas[0]))):
+                    clauses = to_cnf(h).clauses
+                    checked = CnfFormula(h.var_count, chain.from_iterable(h.groups.values()))
+                    assert clauses == checked.clauses, (m.name, f.input)
+                    assert all(map(operator.is_, clauses, checked.clauses)), (m.name, f.input)
 
     def test_groups_are_tuples(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 1)

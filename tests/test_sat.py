@@ -252,17 +252,20 @@ class TestDimacs:
 
     @pytest.mark.parametrize("side", [-1, 0, 1], ids=["below", "zero", "above"])
     def test_labeled_literal_out_of_range_is_refused(self, m_accept1, side):
-        # 0 and ±(n+1) have no entry in the table of literal strings.
+        # 0 and ±(n+1) have no entry in the table of literal strings. The
+        # constructor refuses them too, so the fault is set after it.
         grid = reduce_machine(m_accept1, "1", 1).grid
         bad = side * (grid.var_count + 1)
-        f = LabeledFormula(grid, {"G1": ((1,),), "G6": ((2, bad),)}, "1")
+        f = LabeledFormula(grid, {"G1": ((1,),), "G6": ((2, 3),)}, "1")
+        f.groups["G6"] = ((2, bad),)
         with pytest.raises(ValueError, match=f"^literal {bad} out of range"):
             to_dimacs(f)
 
     def test_labeled_empty_clause_is_refused(self, m_accept1):
         # Written as ` 0`, it would be text that from_dimacs refuses.
         grid = reduce_machine(m_accept1, "1", 1).grid
-        f = LabeledFormula(grid, {"G1": ((1,), ()), "G6": ((2, 3),)}, "1")
+        f = LabeledFormula(grid, {"G1": ((1,),), "G6": ((2, 3),)}, "1")
+        f.groups["G1"] = ((1,), ())
         with pytest.raises(ValueError, match="^empty clause$"):
             to_dimacs(f)
 
