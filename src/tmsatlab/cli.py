@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -73,9 +74,9 @@ def _load_machine(path: str):
 
 def _emit(text: str, out_path):
     """Write text as UTF-8 to out_path or, with none, to stdout: the same
-    bytes either way, whatever the locale's encoding. On stdout, a file
-    name that the locale could not decode, such as a library entry's, is
-    written as the bytes it has on disk."""
+    bytes either way, whatever the locale's encoding. On stdout, a library
+    entry's name whose bytes on disk are not UTF-8 is written as those
+    bytes."""
     if out_path:
         try:
             Path(out_path).write_text(text, encoding="utf-8")
@@ -174,7 +175,9 @@ def _cmd_merge(args) -> int:
 def _load_library(dir_path: str, bound: int):
     """A library directory holds one `<name>.tm` per entry, with the
     witness input in a sibling `<name>.in` (missing file = empty input).
-    Entries are taken in sorted filename order."""
+    Entries are taken in sorted filename order. An entry's name is its
+    stem's bytes on disk read as UTF-8, whatever the locale's file-system
+    encoding, with bytes that are not UTF-8 kept as surrogate escapes."""
     directory = Path(dir_path)
     if not directory.is_dir():
         raise _FileError(f"{dir_path} is not a directory")
@@ -196,7 +199,7 @@ def _load_library(dir_path: str, bound: int):
                 f"{tm_path.name}: machine does not accept {y!r} within {bound} "
                 "transitions; cannot encode a run part")
         histories.append((m, witness))
-        names.append(tm_path.stem)
+        names.append(os.fsencode(tm_path.stem).decode("utf-8", "surrogateescape"))
     return histories, names
 
 

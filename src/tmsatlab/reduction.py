@@ -10,8 +10,8 @@ transition semantics via explicit selector variables plus frame clauses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, product, repeat
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
+from itertools import accumulate, chain, combinations, product, repeat, starmap
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .machine import (
     ComputationHistory,
@@ -57,14 +57,16 @@ class _Grid:
     Built once per reduction and shared by every formula made from it.
 
     The grid owns one int object per literal: `ids[k]` is k and `negs[k]`
-    is -k, for k in 0..var_count. Its blocks, rows and dicts hand out the
+    is -k, for k in 0..var_count. Its blocks and rows hand out the
     objects of `ids`, and `neg` negates through `negs`, so the clauses of
     a reduction refer to at most 2·var_count ints however often a literal
     occurs, and a set or dict of literals matches them by identity.
 
-    The dicts map a key, such as (i, j, sym) for S, to its id; the row
-    methods hand out slices of a block as lists, so a clause group can
-    be built from whole rows instead of one key at a time."""
+    The blocks and rows are the one layout: there is no map from a key
+    to its id. A row method hands out the ids of one time or step as a
+    slice of a block, in the order of its keys (`states`, cells,
+    `symbols`, `tr_keys`), so an id is its row indexed by its key's
+    position, and a clause group is built from whole rows."""
 
     def __init__(self, m: Machine, bound: int):
         self.machine = m
@@ -73,23 +75,21 @@ class _Grid:
         _, self.states, self.symbols = self.signature
         self.rules = m.rules()
         self.tr_keys = list(range(len(self.rules))) + [PAD]  # one step's Tr keys
-        times = cells = range(bound + 1)
         self.width = bound + 1  # cells per time
         starts = list(accumulate(reduction_var_counts(m, bound).values(), initial=1))
         self.var_count = starts[-1] - 1
         self.ids = list(range(self.var_count + 1))
         self.negs = list(range(0, -self.var_count - 1, -1))
         self.Q, self.H, self.S, self.TR = (self.ids[a:b] for a, b in zip(starts, starts[1:]))
-        self.q: Dict[Tuple[int, str], int] = dict(zip(product(times, self.states), self.Q))
-        self.h: Dict[Tuple[int, int], int] = dict(zip(product(times, cells), self.H))
-        self.s: Dict[Tuple[int, int, str], int] = dict(
-            zip(product(times, cells, self.symbols), self.S))
-        self.tr: Dict[Tuple[int, Union[int, str]], int] = dict(
-            zip(product(range(bound), self.tr_keys), self.TR))
 
     def neg(self, ids: List[int]) -> List[int]:
         """The negated literals of `ids`, in its order, from `negs`."""
         return list(map(self.negs.__getitem__, ids))
+
+    def q_row(self, i: int) -> List[int]:
+        """The Q ids of time i, in `states` order."""
+        size = len(self.states)
+        return self.Q[i * size:(i + 1) * size]
 
     def h_row(self, i: int) -> List[int]:
         """The H ids of time i, by cell."""
@@ -112,14 +112,12 @@ class _Grid:
     def labels(self) -> Iterator[Tuple[int, str]]:
         """(id, label) of every variable in id order, such as
         (1, "Q(0,q0)"); the Tr label of padding is "Tr(i,PAD)"."""
-        for (i, k), vid in self.q.items():
-            yield vid, f"Q({i},{k})"
-        for (i, j), vid in self.h.items():
-            yield vid, f"H({i},{j})"
-        for (i, j, sym), vid in self.s.items():
-            yield vid, f"S({i},{j},{sym})"
-        for (i, r), vid in self.tr.items():
-            yield vid, f"Tr({i},{r})"
+        times = range(self.width)
+        return enumerate(chain(
+            starmap("Q({},{})".format, product(times, self.states)),
+            starmap("H({},{})".format, product(times, times)),
+            starmap("S({},{},{})".format, product(times, times, self.symbols)),
+            starmap("Tr({},{})".format, product(range(self.bound), self.tr_keys))), 1)
 
 
 @dataclass
@@ -282,12 +280,16 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
     g3 += _exactly_one(g, g.S, len(g.symbols))
 
     # G4: the initial configuration, as unit clauses.
-    g4.append((g.q[(0, c.state)],))
-    g4.append((g.h[(0, c.head)],))
-    g4.extend((g.s[(0, j, _config_symbol(c, j, m.blank))],) for j in range(T + 1))
+    state_at, n = g.states.index, len(g.symbols)
+    g4.append((g.q_row(0)[state_at(c.state)],))
+    g4.append((g.h_row(0)[c.head],))
+    start = g.s_block(0)  # by cell, then symbol
+    g4.extend((start[j * n + g.symbols.index(_config_symbol(c, j, m.blank))],)
+              for j in range(T + 1))
 
     # G5: accept at the final time.
-    g5.append((g.q[(T, m.accept)],))
+    accept = state_at(m.accept)
+    g5.append((g.q_row(T)[accept],))
 
     # G6: transition semantics via selector variables, plus frame clauses.
     # Each run of clauses over the cells of one step is a zip of rows.
@@ -295,14 +297,15 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
     # at T.
     moved = [[min(T, moved_head(j, move)) for j in range(T + 1)] for *_, move in g.rules]
     for i in range(T):
+        states, next_states = g.q_row(i), g.q_row(i + 1)
         heads, next_heads = g.h_row(i), g.h_row(i + 1)
         not_heads = g.neg(heads)
         tr_ids = g.tr_row(i)
         not_trs = g.neg(tr_ids)
         g6.append(tuple(tr_ids))
         for not_tr, (state, symbol, nxt, write, _), to in zip(not_trs, g.rules, moved):
-            g6.append((not_tr, g.q[(i, state)]))
-            g6.append((not_tr, g.q[(i + 1, nxt)]))
+            g6.append((not_tr, states[state_at(state)]))
+            g6.append((not_tr, next_states[state_at(nxt)]))
             # With the head on cell j: read `symbol`, write `write`, move
             # to cell to[j].
             g6 += chain.from_iterable(zip(
@@ -310,8 +313,8 @@ def reduce_machine(m: Machine, input_str: str, bound: int) -> LabeledFormula:
                 zip(repeat(not_tr), not_heads, g.s_row(i + 1, write)),
                 zip(repeat(not_tr), not_heads, map(next_heads.__getitem__, to))))
         not_pad = not_trs[-1]  # PAD is the last Tr key
-        g6.append((not_pad, g.q[(i, m.accept)]))
-        g6.append((not_pad, g.q[(i + 1, m.accept)]))
+        g6.append((not_pad, states[accept]))
+        g6.append((not_pad, next_states[accept]))
         # Padding keeps the head and, for each cell, every symbol.
         g6 += chain.from_iterable(zip(
             zip(repeat(not_pad), not_heads, next_heads),
@@ -375,13 +378,14 @@ def induced_assignment(h: ComputationHistory, g: _Grid,
     padding = g.bound - h.transitions
     configs = h.configs + h.configs[-1:] * padding  # the configuration at each time
     chosen = list(rule_ids) + [PAD] * padding  # the Tr key at each step
-    blank = g.machine.blank
-    assignment = {vid: configs[i].state == k for (i, k), vid in g.q.items()}
-    assignment.update({vid: configs[i].head == j for (i, j), vid in g.h.items()})
-    assignment.update({vid: _config_symbol(configs[i], j, blank) == l
-                       for (i, j, l), vid in g.s.items()})
-    assignment.update({vid: chosen[i] == r for (i, r), vid in g.tr.items()})
-    return assignment
+    # Each time's tape, padded with blanks to the grid's width.
+    tapes = [c.tape + (g.machine.blank,) * (g.width - len(c.tape)) for c in configs]
+    values = chain(  # one per id, block by block, each in the grid's order
+        [c.state == k for c in configs for k in g.states],
+        [c.head == j for c in configs for j in range(g.width)],
+        [sym == l for tape in tapes for sym in tape for l in g.symbols],
+        [r == key for r in chosen for key in g.tr_keys])
+    return dict(zip(g.ids[1:], values))
 
 
 def check_history(m: Machine, h: ComputationHistory, bound: int) -> List[int]:
@@ -428,20 +432,20 @@ def decode_assignment(f: LabeledFormula, a: Dict[int, bool]) -> ComputationHisto
         raise ValueError("decode needs a formula with every clause group G1-G6")
     g = f.grid
 
-    def the_one(ids: Dict, group: str):
-        true = [key for key, vid in ids.items() if a.get(vid)]
+    def the_one(keys: Sequence, row: List[int], group: str):
+        true = [key for key, vid in zip(keys, row) if a.get(vid)]
         if len(true) != 1:
             raise MalformedModelError(f"assignment violates a {group} uniqueness clause")
         return true[0]
 
-    cells = max(len(f.input), 1)
+    cells, n = max(len(f.input), 1), len(g.symbols)
     configs = []
-    for i in range(g.bound + 1):
-        state = the_one({k: g.q[(i, k)] for k in g.states}, "G1")
-        head = the_one({j: g.h[(i, j)] for j in range(g.bound + 1)}, "G2")
+    for i in range(g.width):
+        state = the_one(g.states, g.q_row(i), "G1")
+        head = the_one(range(g.width), g.h_row(i), "G2")
         cells = max(cells, head + 1)
-        tape = tuple(the_one({l: g.s[(i, j, l)] for l in g.symbols}, "G3")
-                     for j in range(cells))
+        block = g.s_block(i)
+        tape = tuple(the_one(g.symbols, block[j * n:(j + 1) * n], "G3") for j in range(cells))
         configs.append(Configuration(state, head, tape))
         if state == g.machine.accept:
             return ComputationHistory(tuple(configs), f.input)

@@ -528,12 +528,33 @@ class TestOutputEncoding:
     ], ids=["history-extract", "merge", "kim-build", "kim-run", "argue"])
     def test_text_report_is_utf8_under_an_ascii_locale(self, tmp_path, command):
         # The reports name states or atoms, here q\u00e9, and library
-        # entries, here the file q\u00e9.tm, which is made by its UTF-8
-        # bytes so that an ASCII locale running this test can make it too.
+        # entries, here the file q\u00e9.tm.
         machine_path = tmp_path / "u.tm"
         machine_path.write_text(self.MACHINE_TEXT, encoding="utf-8")
         schema = tmp_path / "s.arg"
         schema.write_text("premise: q\u00e9\nconclusion: q\u00e9\n", encoding="utf-8")
+        library = self.library_of_one_entry(tmp_path)
+        args = [arg.format(machine=machine_path, library=library, schema=schema)
+                for arg in command]
+        runs = self.run_under_both_locales(*args)
+        assert runs[0].stdout == runs[1].stdout
+        assert "q\u00e9".encode("utf-8") in runs[0].stdout
+
+    def test_kim_build_json_names_an_entry_alike_under_both_locales(self, tmp_path):
+        # The entry's name is its file stem's UTF-8 bytes on disk, not the
+        # locale's decoding of them, which escapes each non-ASCII byte.
+        base = tmp_path / "u.tm"
+        base.write_text(self.MACHINE_TEXT, encoding="utf-8")
+        library = self.library_of_one_entry(tmp_path)
+        runs = self.run_under_both_locales("kim", "build", "--json", "--library", str(library),
+                                           "--base", str(base), "-T", "1")
+        assert runs[0].stdout == runs[1].stdout
+        assert json.loads(runs[0].stdout)["entries"][0]["name"] == "q\u00e9"
+
+    def library_of_one_entry(self, tmp_path):
+        """A library holding the entry q\u00e9 on input 1, its files made
+        by their UTF-8 names' bytes so that an ASCII locale can make them
+        too."""
         library = tmp_path / "lib"
         library.mkdir()
         entry = os.path.join(os.fsencode(library), "q\u00e9".encode("utf-8"))
@@ -541,12 +562,14 @@ class TestOutputEncoding:
             fh.write(self.MACHINE_TEXT.encode("utf-8"))
         with open(entry + b".in", "wb") as fh:
             fh.write(b"1\n")
-        args = [arg.format(machine=machine_path, library=library, schema=schema)
-                for arg in command]
+        return library
+
+    def run_under_both_locales(self, *args):
+        """Run the CLI on `args` under the ASCII locale and in UTF-8 mode;
+        both runs must exit 0 with nothing on stderr."""
         runs = [self.run_cli(locale, *args) for locale in (self.ASCII_LOCALE, self.UTF8_MODE)]
         assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
-        assert runs[0].stdout == runs[1].stdout
-        assert "q\u00e9".encode("utf-8") in runs[0].stdout
+        return runs
 
 
 class TestArgue:

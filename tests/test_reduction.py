@@ -123,9 +123,9 @@ def reference_cases():
 class TestReduce:
     def test_variable_grid_sizes(self, m_accept1):
         f = reduce_machine(m_accept1, "1", 1)
-        assert len(f.grid.q) == 6
-        assert len(f.grid.h) == 4
-        assert len(f.grid.s) == 12
+        assert len(f.grid.Q) == 6
+        assert len(f.grid.H) == 4
+        assert len(f.grid.S) == 12
 
     def test_satisfiable_iff_accepting(self, m_accept1):
         assert solve_dpll(to_cnf(reduce_machine(m_accept1, "1", 1))).satisfiable
@@ -157,7 +157,7 @@ class TestReduce:
                 f = reduce_machine(m, y, bound)
                 assert clause_counts(f) == groups
                 assert f.var_count == sum(kinds.values())
-                assert [len(f.grid.q), len(f.grid.h), len(f.grid.s), len(f.grid.tr)] == \
+                assert [len(f.grid.Q), len(f.grid.H), len(f.grid.S), len(f.grid.TR)] == \
                     list(kinds.values())
 
     def test_groups_match_the_reference_builder(self):
@@ -166,22 +166,29 @@ class TestReduce:
             assert reduce_machine(m, y, bound).groups == reference_groups(m, y, bound), \
                 (m.name, y, bound)
 
-    def test_grid_rows_are_its_dict_values_in_order(self):
+    def test_grid_layout_is_the_reference_numbering(self):
+        # The blocks, every row and the labels, each against the reference
+        # numbering's keys, one key at a time.
         for m, bound in corpus_machines():
             g = reduce_machine(m, "", bound).grid
-            maps = (g.q, g.h, g.s, g.tr)
-            assert [list(d.items()) for d in maps] == \
-                [list(d.items()) for d in reference_grid(m, bound)]
-            assert [list(g.Q), list(g.H), list(g.S), list(g.TR)] == \
-                [list(d.values()) for d in maps]
+            q, h, s, tr = reference_grid(m, bound)
+            assert [g.Q, g.H, g.S, g.TR] == [list(d.values()) for d in (q, h, s, tr)]
+            states, symbols = sorted(m.states), sorted(m.tape_alphabet)
+            tr_keys = list(range(len(m.rules()))) + [PAD]
             cells = range(bound + 1)
             for i in cells:
-                assert list(g.h_row(i)) == [g.h[(i, j)] for j in cells]
-                assert list(g.s_block(i)) == [g.s[(i, j, l)] for j in cells for l in g.symbols]
-                for l in g.symbols:
-                    assert list(g.s_row(i, l)) == [g.s[(i, j, l)] for j in cells]
+                assert g.q_row(i) == [q[(i, k)] for k in states]
+                assert g.h_row(i) == [h[(i, j)] for j in cells]
+                assert g.s_block(i) == [s[(i, j, l)] for j in cells for l in symbols]
+                for l in symbols:
+                    assert g.s_row(i, l) == [s[(i, j, l)] for j in cells]
             for i in range(bound):
-                assert list(g.tr_row(i)) == [g.tr[(i, r)] for r in g.tr_keys]
+                assert g.tr_row(i) == [tr[(i, r)] for r in tr_keys]
+            labels = [(vid, f"Q({i},{k})") for (i, k), vid in q.items()]
+            labels += [(vid, f"H({i},{j})") for (i, j), vid in h.items()]
+            labels += [(vid, f"S({i},{j},{l})") for (i, j, l), vid in s.items()]
+            labels += [(vid, f"Tr({i},{r})") for (i, r), vid in tr.items()]
+            assert list(g.labels()) == labels, (m.name, bound)
 
     def test_every_literal_is_the_grids_own_object(self):
         # One int object per literal: each clause holds the grid's ids[v]
@@ -227,12 +234,12 @@ def test_head_clause_moves_as_the_simulator(move):
                 blank="_", table=TransitionTable({("q0", "0"): (target,)}),
                 start="q0", accept="qa")
     f = reduce_machine(m, "0", T)
-    g = f.grid
-    cell = {vid: key for key, vid in g.h.items()}
+    _, h, _, tr = reference_grid(m, T)
+    cell = {vid: key for key, vid in h.items()}
     for i in range(T):
         for j in (0, 1, T):
             heads = [cell[c[2]] for c in f.groups["G6"]
-                     if c[:2] == (-g.tr[(i, 0)], -g.h[(i, j)]) and c[2] in cell]
+                     if c[:2] == (-tr[(i, 0)], -h[(i, j)]) and c[2] in cell]
             moved = apply_target(Configuration("q0", j, ("0",) * (T + 1)), target, "_")
             assert heads == [(i + 1, min(T, moved.head))], (i, j)
 
@@ -452,6 +459,31 @@ class TestEncodeHistory:
                     f, assignment = encode_history(m, witness, bound)
                     assert sorted(assignment) == list(range(1, f.var_count + 1))
 
+    def test_induced_assignment_is_the_reference_on_the_corpus(self):
+        # Each variable, one key at a time over the reference numbering:
+        # the history padded with its last configuration, and at each step
+        # the Tr of the first rule, in m.rules() order, whose target takes
+        # the configuration to the next one, or PAD once it has accepted.
+        for m, bound in corpus_machines():
+            q, h, s, tr = reference_grid(m, bound)
+            for y in CORPUS_INPUTS:
+                accepted, witness = accepts_within(m, y, bound)
+                if not accepted:
+                    continue
+                configs = list(witness.configs)
+                configs += configs[-1:] * (bound + 1 - len(configs))
+                chosen = [next(r for r, (state, symbol, *target) in enumerate(m.rules())
+                               if (state, symbol) == (c.state, c.tape[c.head])
+                               and apply_target(c, target, m.blank) == after)
+                          for c, after in zip(witness.configs, witness.configs[1:])]
+                chosen += [PAD] * (bound - len(chosen))
+                reference = {vid: configs[i].state == k for (i, k), vid in q.items()}
+                reference.update({vid: configs[i].head == j for (i, j), vid in h.items()})
+                reference.update({vid: (configs[i].tape[j] if j < len(configs[i].tape)
+                                        else m.blank) == l for (i, j, l), vid in s.items()})
+                reference.update({vid: chosen[i] == r for (i, r), vid in tr.items()})
+                assert encode_history(m, witness, bound)[1] == reference, (m.name, y)
+
 
 class TestDecode:
     def test_solve_then_decode(self, m_accept1):
@@ -483,17 +515,17 @@ class TestDecode:
         # Every edit hits a row decode reads: the model accepts at time 1,
         # and the head stands on cell 1 then.
         f = reduce_machine(m_accept1, "1", 1)
-        g = f.grid
+        q, h, s, _ = reference_grid(m_accept1, 1)
         broken = dict(solve_dpll(to_cnf(f)).assignment)
         if edit == "two-states":
-            broken[g.q[(0, "qrej")]] = True
+            broken[q[(0, "qrej")]] = True
         elif edit == "two-heads":
-            broken[g.h[(1, 0)]] = True
+            broken[h[(1, 0)]] = True
         elif edit == "two-symbols":
-            broken[g.s[(1, 1, "0")]] = True
+            broken[s[(1, 1, "0")]] = True
         else:
-            for k in g.states:
-                broken[g.q[(1, k)]] = False
+            for k in m_accept1.states:
+                broken[q[(1, k)]] = False
         with pytest.raises(MalformedModelError):
             decode_assignment(f, broken)
 
@@ -507,8 +539,9 @@ class TestDecode:
         f = reduce_machine(m_accept1, "1", 1)
         result = solve_dpll(to_cnf(f))
         broken = dict(result.assignment)
+        q = reference_grid(m_accept1, 1)[0]
         # falsify the G5 unit without breaking uniqueness
-        for k in f.grid.states:
-            broken[f.grid.q[(1, k)]] = k == "qrej"
+        for k in m_accept1.states:
+            broken[q[(1, k)]] = k == "qrej"
         with pytest.raises((ValueError, MalformedModelError)):
             decode_assignment(f, broken)
