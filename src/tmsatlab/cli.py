@@ -2,14 +2,17 @@
 
 Thin adapters over the core modules: parse arguments, dispatch, render.
 Exit codes: 0 success / agreement, 1 failed boolean check, 2 usage or
-a guard on the input's size, 3 file or input-format errors, 10/20
-sat/unsat for `solve`, 70 internal invariant breach (a model or a
-refutation that fails its check).
+a guard on the input's size, 3 file or input-format errors and a failed
+write to stdout, stderr or an `-o` file, 10/20 sat/unsat for `solve`, 70
+internal invariant breach (a model or a refutation that fails its check).
+Every byte the CLI writes, but argparse's help and usage text, goes
+through `_emit`, as UTF-8.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -55,7 +58,8 @@ EXIT_INTERNAL = 70
 
 
 class _FileError(Exception):
-    pass
+    """A file or stream that cannot be read or written, or a file whose
+    contents are malformed: exit 3."""
 
 
 def _read_text(path: str) -> str:
@@ -72,26 +76,35 @@ def _load_machine(path: str):
         raise _FileError(f"{path}: {exc}") from exc
 
 
-def _emit(text: str, out_path):
-    """Write text as UTF-8 to out_path or, with none, to stdout: the same
-    bytes either way, whatever the locale's encoding. On stdout, a library
-    entry's name whose bytes on disk are not UTF-8 is written as those
-    bytes."""
-    if out_path:
-        try:
-            Path(out_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _FileError(f"cannot write {out_path}: {exc}") from exc
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
-    else:  # a text stream with no bytes under it, such as a StringIO
-        sys.stdout.write(text)
+def _emit(text: str, out_path=None, stream="stdout"):
+    """Write text as UTF-8 to the file out_path or, with none, to the
+    standard stream named `stream` (looked up at each call, so a redirected
+    stream is written): the same bytes whatever the locale's encoding. A
+    library entry's name whose bytes on disk are not UTF-8 is written as
+    those bytes. A write that fails or stops short raises `_FileError`;
+    the stream is then closed, so the interpreter does not try its
+    unwritten bytes again when it flushes the streams at exit."""
+    data = text.encode("utf-8", "surrogateescape")
+    file = None if out_path else getattr(sys, stream)
+    try:
+        if out_path:
+            Path(out_path).write_bytes(data)
+        elif file is None:  # its descriptor was closed when the interpreter started
+            raise OSError("the stream is closed")
+        elif (written := file.buffer.write(data)) != len(data):
+            raise OSError(f"wrote {written} of {len(data)} bytes")
+        else:
+            file.buffer.flush()
+    except (OSError, ValueError) as exc:  # ValueError: closed by an earlier failure
+        if file is not None:
+            with contextlib.suppress(OSError, ValueError):
+                file.buffer.close()
+        raise _FileError(f"cannot write {out_path or stream}: {exc}") from exc
 
 
-def _emit_lines(lines):
-    """Write each line, and a newline after it, to stdout through `_emit`."""
-    _emit("".join(f"{line}\n" for line in lines), None)
+def _emit_lines(lines, out_path=None, stream="stdout"):
+    """Write each line, and a newline after it, through `_emit`."""
+    _emit("".join(f"{line}\n" for line in lines), out_path, stream)
 
 
 def _cmd_reduce(args) -> int:
@@ -114,12 +127,11 @@ def _cmd_solve(args) -> int:
     result = solve_dpll(f)
     if result.satisfiable:
         lits = [v if result.assignment[v] else -v for v in sorted(result.assignment)]
-        print("s SATISFIABLE")
-        print(" ".join(["v", *map(str, lits), "0"]))
+        _emit_lines(["s SATISFIABLE", " ".join(["v", *map(str, lits), "0"])])
         return EXIT_SAT
     if not check_refutation(f, result.learnt):
         raise SatError("refutation fails verification")
-    print("s UNSATISFIABLE")
+    _emit_lines(["s UNSATISFIABLE"])
     return EXIT_UNSAT
 
 
@@ -132,7 +144,7 @@ def _cmd_verify(args) -> int:
     oracle = "accept" if accepted else "reject"
     verdict = "SAT" if result.satisfiable else "UNSAT"
     agree = accepted == result.satisfiable
-    print(f"oracle={oracle}, sat={verdict}, {'agree' if agree else 'DISAGREE'}")
+    _emit_lines([f"oracle={oracle}, sat={verdict}, {'agree' if agree else 'DISAGREE'}"])
     return EXIT_OK if agree else EXIT_CHECK_FAILED
 
 
@@ -145,15 +157,15 @@ def _cmd_history(args) -> int:
         check_clause_limit(m, args.bound)
     accepted, witness = accepts_within(m, args.input, args.bound)
     if not accepted:
-        print(f"{m.name} does not accept {args.input!r} within {args.bound} "
-              "transitions", file=sys.stderr)
+        _emit_lines([f"{m.name} does not accept {args.input!r} within {args.bound} "
+                     "transitions"], stream="stderr")
         return EXIT_CHECK_FAILED
     if encode:
         f, assignment = encode_history(m, witness, args.bound)
         lits = " ".join(str(v if assignment[v] else -v) for v in sorted(assignment))
         _emit(to_dimacs(f) + f"c induced-assignment: {lits}\n", args.output)
     else:  # extract
-        _emit_lines(_rule_lines(extract_particular_table(witness, m)))
+        _emit_lines(_rule_lines(extract_particular_table(witness, m)), args.output)
     return EXIT_OK
 
 
@@ -211,22 +223,13 @@ def _cmd_kim(args) -> int:
     histories, names = _load_library(args.library, args.bound)
     pm = parity.build_parity_machine(histories, args.bound, base)
     if args.action == "build":
-        info = {
-            "entries": [
-                {
-                    "index": idx,
-                    "name": names[idx],
-                    "clauses": entry.clause_count,
-                    "compatible": idx not in pm.incompatible_indices,
-                }
-                for idx, entry in enumerate(pm.library)
-            ],
-            "bound": pm.bound,
-            "base": base.name,
-            "distinct_run_parts": len({id(entry) for entry in pm.library}),
-        }
+        entries = [{"index": idx, "name": names[idx], "clauses": entry.clause_count,
+                    "compatible": idx not in pm.incompatible_indices}
+                   for idx, entry in enumerate(pm.library)]
+        info = {"entries": entries, "bound": pm.bound, "base": base.name,
+                "distinct_run_parts": len({id(entry) for entry in pm.library})}
         if args.json:
-            print(json.dumps(info, indent=2))
+            _emit_lines([json.dumps(info, indent=2)])
         else:
             lines = [f"entry {entry['index']} ({entry['name']}): {entry['clauses']} run-part "
                      f"clauses, {'compatible' if entry['compatible'] else 'grid-incompatible'}"
@@ -238,7 +241,7 @@ def _cmd_kim(args) -> int:
     report = parity.run_parity_machine(pm, args.input)
     if args.action == "run":
         if args.json:
-            print(parity.report_to_json(report))
+            _emit_lines([parity.report_to_json(report)])
         else:
             lines = [f"instance {inst.index} ({names[inst.index]}): {inst.clause_count} "
                      f"clauses, {'sat' if inst.satisfiable else 'unsat'}"
@@ -253,20 +256,20 @@ def _cmd_kim(args) -> int:
                          f"(the library has {len(report.instances)} entries)")
     chosen = args.chosen if args.chosen is not None else report.designated
     if chosen is None:
-        print("no satisfiable instance to take metrics from", file=sys.stderr)
+        _emit_lines(["no satisfiable instance to take metrics from"], stream="stderr")
         return EXIT_CHECK_FAILED
     try:
         metrics, claims = parity.metrics_view(report, chosen)
     except parity.UndecodedInstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _emit_lines([f"error: {exc}"], stream="stderr")
         return EXIT_CHECK_FAILED
     if args.json:
-        print(json.dumps({"chosen": chosen, "metrics": metrics, "claims": claims},
-                         indent=2))
+        _emit_lines([json.dumps({"chosen": chosen, "metrics": metrics, "claims": claims},
+                                indent=2)])
     else:
-        print(f"chosen={chosen} i={metrics['i']} j={metrics['j']} k={metrics['k']}")
-        print(f"i>j: {claims['i_gt_j']}  j>k: {claims['j_gt_k']}  "
-              f"i=k: {claims['i_eq_k']}")
+        _emit_lines([f"chosen={chosen} i={metrics['i']} j={metrics['j']} k={metrics['k']}",
+                     f"i>j: {claims['i_gt_j']}  j>k: {claims['j_gt_k']}  "
+                     f"i=k: {claims['i_eq_k']}"])
     return EXIT_OK
 
 
@@ -277,7 +280,7 @@ def _cmd_argue(args) -> int:
     else:
         report = argument.analyze_modus_tollens_schema()
     if args.json:
-        print(json.dumps(report, indent=2))
+        _emit_lines([json.dumps(report, indent=2)])
     else:
         lines = []
         for key, value in report.items():
@@ -295,7 +298,7 @@ def _cmd_argue(args) -> int:
 def _cmd_corpus_test(args) -> int:
     ok = True
     for passed, line in run_corpus_checks():
-        print(line, flush=True)
+        _emit_lines([line])
         ok = ok and passed
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("history", help="encode or extract an accepting history")
     p.add_argument("action", choices=["encode", "extract"])
     add_machine_args(p)
-    p.add_argument("-o", "--output", help="write DIMACS here (encode only)")
+    p.add_argument("-o", "--output", help="write here instead of stdout")
     p.set_defaults(func=_cmd_history)
 
     p = sub.add_parser("merge", help="merge two machines' transition tables")
@@ -363,15 +366,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _FileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
+        code, message = EXIT_FILE, f"error: {exc}"
     except (MachineError, ReductionError, argument.ArgumentError, LearntLimitError,
             ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"error: {exc}"
     except SatError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, message = EXIT_INTERNAL, f"internal error: {exc}"
+    with contextlib.suppress(_FileError):  # stderr failed too: the code still tells
+        _emit_lines([message], stream="stderr")
+    return code
 
 
 if __name__ == "__main__":

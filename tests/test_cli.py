@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +23,22 @@ from tmsatlab.reduction import (
     input_part,
     reduction_clause_count,
 )
+
+
+def cli_command(*args, **env):
+    """The argv and environment that run the CLI on `args` in a subprocess,
+    from this checkout's src, with the variables of `env` set."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return ([sys.executable, "-m", "tmsatlab.cli", *args],
+            {**os.environ, **env, "PYTHONPATH": path})
+
+
+def run_cli(env, *args):
+    """Run the CLI on `args` in a subprocess with the variables of `env`
+    set; stdout and stderr are bytes."""
+    argv, env = cli_command(*args, **env)
+    return subprocess.run(argv, env=env, capture_output=True)
 
 
 @pytest.fixture()
@@ -314,6 +333,15 @@ class TestHistory:
         assert capsys.readouterr().err == (
             "m_accept1 does not accept '1' within 0 transitions\n")
 
+    def test_extract_writes_the_output_file(self, machine_file, tmp_path):
+        out = tmp_path / "table.txt"
+        args = ["history", "extract", "-m", machine_file, "-i", "1", "-T", "1"]
+        to_file = run_cli({}, *args, "-o", str(out))
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+        to_stdout = run_cli({}, *args)
+        assert to_stdout.returncode == 0
+        assert out.read_bytes() == to_stdout.stdout == b"rule: q0 1 -> qacc 1 R\n"
+
 
 class TestMerge:
     def test_selector_line(self, machine_file, tmp_path, capsys):
@@ -486,23 +514,13 @@ class TestOutputEncoding:
                                        ids=["reduce", "history-encode"])
     MACHINE_TEXT = fixture_text("m_accept1").replace("qacc", "q\u00e9")
 
-    @staticmethod
-    def run_cli(locale, *args):
-        """Run the CLI on `args` in a subprocess with the environment
-        variables of `locale` set; stdout and stderr are bytes."""
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "tmsatlab.cli", *args],
-                              env={**os.environ, **locale, "PYTHONPATH": path},
-                              capture_output=True)
-
     def run_under_an_ascii_locale(self, tmp_path, command, *out_args):
         """Run `command` on m_accept1 with its accept state renamed q\u00e9,
         in a subprocess under an ASCII locale."""
         machine_path = tmp_path / "u.tm"
         machine_path.write_text(self.MACHINE_TEXT, encoding="utf-8")
-        return self.run_cli(self.ASCII_LOCALE, *command, "-m", str(machine_path),
-                            "-i", "1", "-T", "1", *out_args)
+        return run_cli(self.ASCII_LOCALE, *command, "-m", str(machine_path),
+                       "-i", "1", "-T", "1", *out_args)
 
     @COMMANDS
     def test_output_file_is_utf8_under_an_ascii_locale(self, tmp_path, command):
@@ -551,6 +569,21 @@ class TestOutputEncoding:
         assert runs[0].stdout == runs[1].stdout
         assert json.loads(runs[0].stdout)["entries"][0]["name"] == "q\u00e9"
 
+    def test_kim_build_error_names_an_entry_alike_under_both_locales(self, tmp_path):
+        # stderr, like stdout, carries the entry file name's bytes on disk.
+        base = tmp_path / "u.tm"
+        base.write_text(self.MACHINE_TEXT, encoding="utf-8")
+        library = self.library_of_one_entry(tmp_path)
+        with open(os.path.join(os.fsencode(library), "q\u00e9.in".encode("utf-8")), "wb") as fh:
+            fh.write(b"0\n")
+        runs = [run_cli(locale, "kim", "build", "--library", str(library),
+                        "--base", str(base), "-T", "1")
+                for locale in (self.ASCII_LOCALE, self.UTF8_MODE)]
+        assert [(run.returncode, run.stdout) for run in runs] == [(3, b"")] * 2
+        assert runs[0].stderr == runs[1].stderr == (
+            "error: q\u00e9.tm: machine does not accept '0' within 1 transitions; "
+            "cannot encode a run part\n").encode("utf-8")
+
     def library_of_one_entry(self, tmp_path):
         """A library holding the entry q\u00e9 on input 1, its files made
         by their UTF-8 names' bytes so that an ASCII locale can make them
@@ -567,9 +600,89 @@ class TestOutputEncoding:
     def run_under_both_locales(self, *args):
         """Run the CLI on `args` under the ASCII locale and in UTF-8 mode;
         both runs must exit 0 with nothing on stderr."""
-        runs = [self.run_cli(locale, *args) for locale in (self.ASCII_LOCALE, self.UTF8_MODE)]
+        runs = [run_cli(locale, *args) for locale in (self.ASCII_LOCALE, self.UTF8_MODE)]
         assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
         return runs
+
+
+class TestWriteFailures:
+    """A write to stdout that fails or stops short exits 3 with one line on
+    stderr: no traceback, and no second report from the interpreter when
+    it flushes the streams at exit."""
+
+    FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+    @pytest.fixture()
+    def parity_file(self, tmp_path):
+        path = tmp_path / "m_parity.tm"
+        path.write_text(fixture_text("m_parity"), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def assert_failed_stdout_write(code, stderr):
+        text = stderr.decode("utf-8")
+        assert "Traceback" not in text and "Exception ignored" not in text
+        assert text.count("\n") == 1 and text.startswith("error: cannot write stdout: ")
+        assert code == 3
+
+    @FULL
+    @pytest.mark.parametrize("command", [
+        ["reduce", "-m", "{parity}", "-i", "11", "-T", "4"],
+        ["verify", "-m", "{parity}", "-i", "11", "-T", "4"],
+        ["argue"],
+        ["corpus-test"],
+    ], ids=["reduce", "verify", "argue", "corpus-test"])
+    def test_stdout_on_a_full_device(self, parity_file, command):
+        argv, env = cli_command(*(arg.format(parity=parity_file) for arg in command))
+        with open("/dev/full", "wb") as full:
+            run = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE)
+        self.assert_failed_stdout_write(run.returncode, run.stderr)
+
+    @pytest.mark.parametrize("command, read", [
+        (["reduce", "-m", "{parity}", "-i", "11", "-T", "48"], 0),
+        (["reduce", "-m", "{parity}", "-i", "11", "-T", "48"], 100),
+        (["corpus-test"], 0),
+    ], ids=["reduce-T48", "reduce-T48-after-100-bytes", "corpus-test"])
+    def test_stdout_on_a_closed_pipe(self, parity_file, command, read):
+        # Closed after 100 bytes, the pipe takes a first part of the 2.1 MB
+        # DIMACS text before it breaks, or none of it if it is closed
+        # before the write starts.
+        argv, env = cli_command(*(arg.format(parity=parity_file) for arg in command))
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            proc.stdout.read(read)
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        self.assert_failed_stdout_write(proc.wait(), stderr)
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs sh")
+    def test_stdout_closed_at_start(self):
+        # With descriptor 1 closed, the interpreter sets sys.stdout to None.
+        argv, env = cli_command("argue")
+        run = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], env=env,
+                             stderr=subprocess.PIPE)
+        assert (run.returncode, run.stderr) == (
+            3, b"error: cannot write stdout: the stream is closed\n")
+
+    def test_short_write(self, capsys):
+        class ShortWrites(io.BytesIO):
+            def write(self, data):
+                return super().write(data[:-1])
+
+        with contextlib.redirect_stdout(io.TextIOWrapper(ShortWrites(), encoding="utf-8")):
+            assert main(["argue"]) == 3
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"error: cannot write stdout: wrote (\d+) of (\d+) bytes\n", err)
+        assert match and int(match[1]) == int(match[2]) - 1
+
+    @FULL
+    def test_error_line_on_a_full_device(self, parity_file):
+        # The error line is lost, but the exit code still says what went wrong.
+        with open("/dev/full", "wb") as full:
+            for args, stdout in [(["solve", parity_file + ".missing"], subprocess.DEVNULL),
+                                 (["reduce", "-m", parity_file, "-i", "11", "-T", "4"], full)]:
+                argv, env = cli_command(*args)
+                assert subprocess.run(argv, env=env, stdout=stdout, stderr=full).returncode == 3
 
 
 class TestArgue:

@@ -537,11 +537,13 @@ def workdir(tmp_path_factory):
 
 def run_digest(argv, workdir):
     """sha256 over the exit code, stdout and stderr of one CLI call, with
-    the work directory's path written as `{dir}`."""
-    out, err = io.StringIO(), io.StringIO()
+    the work directory's path written as `{dir}`. The CLI writes bytes, so
+    each stream is captured as the bytes under a text stream."""
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([arg.replace("{dir}", workdir) for arg in argv])
-    text = f"{code}\n{out.getvalue()}\0{err.getvalue()}".replace(workdir, "{dir}")
+    out, err = (stream.buffer.getvalue().decode("utf-8") for stream in (out, err))
+    text = f"{code}\n{out}\0{err}".replace(workdir, "{dir}")
     return hashlib.sha256(text.encode()).hexdigest()
 
 
